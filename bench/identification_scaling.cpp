@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "core/reference_search.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
+#include "reference_search.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"

@@ -67,27 +67,27 @@ BENCHMARK(BM_SingleCut_AdpcmDecodeBody)
     ->Args({8, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Identification + selection only (run_blocks): pre-extracted graphs, with
-// the per-block searches spread over `threads` workers.
+// Identification + selection only (request.graphs): pre-extracted graphs,
+// with the per-block searches spread over `threads` workers.
 void BM_IterativeSelection_Fig11Benchmarks(benchmark::State& state) {
-  std::vector<std::vector<Dfg>> all;
+  std::vector<ExplorationRequest> requests;
   for (Workload& w : fig11_workloads()) {
     w.preprocess();
-    all.push_back(w.extract_dfgs());
+    ExplorationRequest& request = requests.emplace_back();
+    request.graphs = w.extract_dfgs();
+    request.scheme = "iterative";
+    request.constraints.max_inputs = 4;
+    request.constraints.max_outputs = 2;
+    request.constraints.branch_and_bound = true;
+    request.constraints.prune_permanent_inputs = true;
+    request.num_instructions = 16;
+    request.use_cache = false;  // time the searches, not memo hits
+    request.num_threads = static_cast<int>(state.range(0));
   }
-  ExplorationRequest request;
-  request.scheme = "iterative";
-  request.constraints.max_inputs = 4;
-  request.constraints.max_outputs = 2;
-  request.constraints.branch_and_bound = true;
-  request.constraints.prune_permanent_inputs = true;
-  request.num_instructions = 16;
-  request.use_cache = false;  // time the searches, not memo hits
-  request.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     double total = 0;
-    for (const auto& graphs : all) {
-      total += explorer().run_blocks(graphs, request).total_merit;
+    for (const ExplorationRequest& request : requests) {
+      total += explorer().run(request).total_merit;
     }
     benchmark::DoNotOptimize(total);
   }

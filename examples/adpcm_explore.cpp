@@ -6,6 +6,7 @@
 // Verilog.
 #include <iostream>
 
+#include "afu/verilog.hpp"
 #include "api/explorer.hpp"
 #include "support/table.hpp"
 
@@ -58,8 +59,7 @@ int main() {
   request.constraints.max_inputs = 4;
   request.constraints.max_outputs = 2;
   request.num_instructions = 2;
-  request.rewrite = true;
-  request.emit_verilog = true;
+  request.emission.verify_rewrites = true;
   request.name_prefix = "adpcm_ise";
   const ExplorationReport report = explorer.run(w, request);
 
@@ -69,6 +69,9 @@ int main() {
             << " (speedup " << TextTable::num(report.validation.measured_speedup, 3)
             << "x)\n\n";
 
-  std::cout << "Verilog for the first selected AFU:\n\n" << report.verilog.at(0);
+  // The verifying rewrite registered one custom op per selected cut, in
+  // selection order, in the workload's module.
+  std::cout << "Verilog for the first selected AFU:\n\n"
+            << emit_verilog(w.module(), w.module().custom_op(0));
   return 0;
 }

@@ -1,10 +1,10 @@
 // Quickstart: build a dataflow graph by hand, sweep the register-file port
 // constraints through the isex::Explorer facade, and print the structured
-// exploration report as JSON — the three calls every other driver builds on:
-// identify() for one block, run_blocks() for raw graphs, run() for a named
-// workload. With `--emit-dir DIR` the graph-level artifacts (cut-highlighted
-// dot rendering plus the attribution manifest) are written to disk through
-// the emission backends. With `--ir FILE` the full-pipeline run at the end
+// exploration report as JSON — the calls every other driver builds on:
+// identify() for one block, and run() for raw graphs (request.graphs) or a
+// named workload. With `--emit-dir DIR` the graph-level artifacts
+// (cut-highlighted dot rendering plus the attribution manifest) are written
+// to disk through the emission backends. With `--ir FILE` the full-pipeline run at the end
 // explores a textual `.isex` workload file instead of the hand-built graph.
 #include <iostream>
 #include <string>

@@ -1,12 +1,10 @@
 #include "api/explorer.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
 #include "afu/afu_builder.hpp"
 #include "afu/rewrite.hpp"
-#include "afu/verilog.hpp"
 #include "emit/plan.hpp"
 #include "emit/verify.hpp"
 #include "support/assert.hpp"
@@ -21,11 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-bool has_target(const EmissionOptions& options, std::string_view target) {
-  return std::find(options.targets.begin(), options.targets.end(), target) !=
-         options.targets.end();
 }
 
 void fill_emission_report(const EmissionOptions& options, const EmissionPlan& plan,
@@ -65,15 +58,17 @@ void notify(const RunHooks& hooks, const char* phase, Json data) {
   if (hooks.on_phase) hooks.on_phase(phase, data);
 }
 
-}  // namespace
-
-EmissionOptions ExplorationRequest::effective_emission() const {
-  EmissionOptions out = emission;
-  if (build_afus) out.build_afus = true;
-  if (rewrite) out.verify_rewrites = true;
-  if (emit_verilog && !has_target(out, "verilog")) out.targets.push_back("verilog");
-  return out;
+/// The one cancel token for a whole run: the caller's (the service arms the
+/// job's token from the frame's deadline and lets the watchdog trip it), or
+/// `own` armed from the request's deadline_ms. Null when neither asks for
+/// cancellation — the default path carries no token at all.
+CancelToken* run_token(CancelToken* caller, std::uint64_t deadline_ms, CancelToken& own) {
+  if (caller != nullptr || deadline_ms == 0) return caller;
+  own.arm_deadline_ms(deadline_ms);
+  return &own;
 }
+
+}  // namespace
 
 Explorer::Explorer(LatencyModel latency, SchemeRegistry* registry,
                    ResultCacheConfig cache_config, EmitterRegistry* emitters)
@@ -108,10 +103,6 @@ MultiCutResult Explorer::identify_multi(const Dfg& block, const Constraints& con
                           num_cuts);
 }
 
-ExplorationReport Explorer::run(const ExplorationRequest& request) const {
-  return run(request, RunHooks{});
-}
-
 ExplorationReport Explorer::run(const ExplorationRequest& request,
                                 const RunHooks& hooks) const {
   if (!request.ir_text.empty()) {
@@ -126,28 +117,12 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
   }
   ISEX_CHECK(!request.graphs.empty(),
              "ExplorationRequest needs a workload name, ir_text or user graphs");
-  return run_blocks(request.graphs, request, hooks);
-}
-
-ExplorationReport Explorer::run(Workload& workload, const ExplorationRequest& request) const {
-  return run_pipeline(&workload, {}, request, RunHooks{});
+  return single_pipeline(nullptr, request.graphs, request, hooks);
 }
 
 ExplorationReport Explorer::run(Workload& workload, const ExplorationRequest& request,
                                 const RunHooks& hooks) const {
-  return run_pipeline(&workload, {}, request, hooks);
-}
-
-ExplorationReport Explorer::run_blocks(std::span<const Dfg> blocks,
-                                       const ExplorationRequest& request) const {
-  return run_blocks(blocks, request, RunHooks{});
-}
-
-ExplorationReport Explorer::run_blocks(std::span<const Dfg> blocks,
-                                       const ExplorationRequest& request,
-                                       const RunHooks& hooks) const {
-  ISEX_CHECK(!blocks.empty(), "no graphs to explore");
-  return run_pipeline(nullptr, blocks, request, hooks);
+  return single_pipeline(&workload, {}, request, hooks);
 }
 
 Explorer::ExtractedBlocks Explorer::extract_workload(Workload& workload,
@@ -182,14 +157,60 @@ Explorer::ExtractedBlocks Explorer::extract_workload(Workload& workload,
   return out;
 }
 
-ExplorationReport Explorer::run_pipeline(Workload* workload, std::span<const Dfg> blocks,
-                                         const ExplorationRequest& request,
-                                         const RunHooks& hooks) const {
+template <typename Request, typename Report>
+PortfolioSelectionResult Explorer::select(const SelectionScheme& scheme,
+                                          std::span<const WorkloadBundle> bundles,
+                                          const Request& request, const AreaSelectOptions& area,
+                                          const RunHooks& hooks, CancelToken* cancel,
+                                          CacheCounters& local, Report& report) const {
+  // Phase boundary: a deadline that expired during extraction trips the
+  // token now, so the searches below exit on their first poll instead of
+  // waiting out a full clock stride.
+  if (cancel != nullptr) cancel->expired();
+
+  const auto t_identify = Clock::now();
+  std::unique_ptr<ThreadPool> pool;
+  Executor* executor = &serial_executor();
+  if (request.num_threads != 1) {
+    pool = std::make_unique<ThreadPool>(request.num_threads);
+    executor = pool.get();
+  }
+  report.num_threads = executor->num_threads();
+
+  SearchEngineStats engine_stats;
+  SchemeInputs inputs{bundles,
+                      latency_,
+                      request.constraints,
+                      request.num_instructions,
+                      area,
+                      executor,
+                      request.use_cache ? cache_.get() : nullptr,
+                      &local,
+                      request.subtree_split_depth,
+                      &engine_stats,
+                      hooks.budget_gate,
+                      cancel};
+  PortfolioSelectionResult selection = scheme.select(inputs);
+  if (cancel != nullptr && (cancel->expired() || cancel->cancelled())) {
+    report.partial = true;
+    report.partial_reason = cancel->reason();
+  }
+  report.timings.identify_ms = ms_since(t_identify);
+  report.engine.subtree_split_depth = request.subtree_split_depth;
+  report.engine.subtree_tasks = engine_stats.subtree_tasks.load();
+  report.engine.split_searches = engine_stats.split_searches.load();
+  report.engine.serial_searches = engine_stats.serial_searches.load();
+  return selection;
+}
+
+ExplorationReport Explorer::single_pipeline(Workload* workload,
+                                            std::span<const Dfg> blocks,
+                                            const ExplorationRequest& request,
+                                            const RunHooks& hooks) const {
   const auto t_start = Clock::now();
   // Reject contradictory or no-op emission requests before any work runs
-  // (e.g. a Verilog target on a graph-only request — the old boolean API
-  // ignored that silently).
-  const EmissionOptions emission = request.effective_emission();
+  // (e.g. a Verilog target on a graph-only request).
+  const EmissionOptions& emission = request.emission;
   if (emission.active()) {
     validate_emission_options(emission, *emitters_, workload != nullptr);
   }
@@ -203,16 +224,8 @@ ExplorationReport Explorer::run_pipeline(Workload* workload, std::span<const Dfg
   report.num_instructions = request.num_instructions;
   report.cache.enabled = request.use_cache;
 
-  // One cancel token for the whole run: the caller's (the service arms the
-  // job's token from the frame's deadline and lets the watchdog trip it), or
-  // a run-local one armed from request.deadline_ms. Null when neither asks
-  // for cancellation — the default path carries no token at all.
-  CancelToken deadline_token;
-  CancelToken* cancel = hooks.cancel;
-  if (cancel == nullptr && request.deadline_ms > 0) {
-    deadline_token.arm_deadline_ms(request.deadline_ms);
-    cancel = &deadline_token;
-  }
+  CancelToken own_token;
+  CancelToken* cancel = run_token(hooks.cancel, request.deadline_ms, own_token);
 
   // --- profile + extract ---------------------------------------------------
   ExtractedBlocks extracted;
@@ -242,54 +255,20 @@ ExplorationReport Explorer::run_pipeline(Workload* workload, std::span<const Dfg
     data.set("extract_ms", report.timings.extract_ms);
     notify(hooks, "extracted", std::move(data));
   }
-  // Phase boundary: a deadline that expired during extraction trips the
-  // token now, so the searches below exit on their first poll instead of
-  // waiting out a full clock stride.
-  if (cancel != nullptr) cancel->expired();
 
   // --- identify + select ---------------------------------------------------
   // The single-workload pipeline is a one-bundle portfolio: the scheme sees
   // the same per-portfolio SchemeInputs as a batched request, and the
   // selection converts back losslessly (weight 1 — golden-pinned to the
   // pre-portfolio results).
-  const auto t_identify = Clock::now();
-  const SelectionScheme& scheme = registry_->get(request.scheme);
-  std::unique_ptr<ThreadPool> pool;
-  Executor* executor = &serial_executor();
-  if (request.num_threads != 1) {
-    pool = std::make_unique<ThreadPool>(request.num_threads);
-    executor = pool.get();
-  }
-  report.num_threads = executor->num_threads();
-
   WorkloadBundle bundle;
   bundle.name = report.workload;
   bundle.blocks = blocks;
   bundle.weight = 1.0;
   bundle.base_cycles = report.base_cycles;
-  SearchEngineStats engine_stats;
-  SchemeInputs inputs{std::span<const WorkloadBundle>(&bundle, 1),
-                      latency_,
-                      request.constraints,
-                      request.num_instructions,
-                      request.area,
-                      executor,
-                      request.use_cache ? cache_.get() : nullptr,
-                      &local,
-                      request.subtree_split_depth,
-                      &engine_stats,
-                      hooks.budget_gate,
-                      cancel};
-  report.selection = portfolio_to_single(scheme.select(inputs));
-  if (cancel != nullptr && (cancel->expired() || cancel->cancelled())) {
-    report.partial = true;
-    report.partial_reason = cancel->reason();
-  }
-  report.timings.identify_ms = ms_since(t_identify);
-  report.engine.subtree_split_depth = request.subtree_split_depth;
-  report.engine.subtree_tasks = engine_stats.subtree_tasks.load();
-  report.engine.split_searches = engine_stats.split_searches.load();
-  report.engine.serial_searches = engine_stats.serial_searches.load();
+  report.selection = portfolio_to_single(select(
+      registry_->get(request.scheme), std::span<const WorkloadBundle>(&bundle, 1), request,
+      request.area, hooks, cancel, local, report));
 
   report.total_merit = report.selection.total_merit;
   report.identification_calls = report.selection.identification_calls;
@@ -328,7 +307,7 @@ ExplorationReport Explorer::run_pipeline(Workload* workload, std::span<const Dfg
   // sets would rewrite/emit as if they were the search's answer.
   if (emission.active() && !report.partial) {
     const auto t_emit = Clock::now();
-    emit_single(workload, blocks, request, emission, report);
+    emit_single(workload, blocks, request, report);
     report.timings.emit_ms = ms_since(t_emit);
   }
 
@@ -339,8 +318,8 @@ ExplorationReport Explorer::run_pipeline(Workload* workload, std::span<const Dfg
 }
 
 void Explorer::emit_single(Workload* workload, std::span<const Dfg> blocks,
-                           const ExplorationRequest& request, const EmissionOptions& emission,
-                           ExplorationReport& report) const {
+                           const ExplorationRequest& request, ExplorationReport& report) const {
+  const EmissionOptions& emission = request.emission;
   Module* module = workload != nullptr ? &workload->module() : nullptr;
   const bool want_ops =
       module != nullptr && (emission.build_afus || emission.verify_rewrites ||
@@ -382,29 +361,6 @@ void Explorer::emit_single(Workload* workload, std::span<const Dfg> blocks,
       run_emitters(*emitters_, emission.targets, plan);
   if (!emission.out_dir.empty()) write_artifacts(artifacts, emission.out_dir);
   fill_emission_report(emission, plan, artifacts, report.emission);
-
-  // Legacy report field: the per-instruction Verilog, in selection order —
-  // lifted from the emitted artifacts rather than rendered a second time
-  // (falling back to a direct render under a user registry whose "verilog"
-  // emitter lays files out differently).
-  if (has_target(emission, "verilog")) {
-    for (const CustomOp& op : ops) {
-      const std::string path = "afu/" + sanitize_artifact_name(op.name) + ".v";
-      const EmittedArtifact* found = nullptr;
-      for (const EmittedArtifact& artifact : artifacts) {
-        if (artifact.emitter == "verilog" && artifact.path == path) {
-          found = &artifact;
-          break;
-        }
-      }
-      report.verilog.push_back(found != nullptr ? found->content
-                                                : emit_verilog(*module, op));
-    }
-  }
-}
-
-PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request) const {
-  return run_portfolio(request, RunHooks{});
 }
 
 PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
@@ -420,13 +376,8 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
   report.max_area_macs = request.max_area_macs;
   report.cache.enabled = request.use_cache;
 
-  // Same one-token-per-run policy as run_pipeline.
-  CancelToken deadline_token;
-  CancelToken* cancel = hooks.cancel;
-  if (cancel == nullptr && request.deadline_ms > 0) {
-    deadline_token.arm_deadline_ms(request.deadline_ms);
-    cancel = &deadline_token;
-  }
+  CancelToken own_token;
+  CancelToken* cancel = run_token(hooks.cancel, request.deadline_ms, own_token);
 
   const SelectionScheme& scheme = registry_->get(request.scheme);
   if (!scheme.supports_portfolio() && request.workloads.size() > 1) {
@@ -508,46 +459,13 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
     data.set("extract_ms", report.timings.extract_ms);
     notify(hooks, "extracted", std::move(data));
   }
-  // Phase boundary (see run_pipeline).
-  if (cancel != nullptr) cancel->expired();
 
   // --- joint identification + selection ------------------------------------
-  const auto t_identify = Clock::now();
-  std::unique_ptr<ThreadPool> pool;
-  Executor* executor = &serial_executor();
-  if (request.num_threads != 1) {
-    pool = std::make_unique<ThreadPool>(request.num_threads);
-    executor = pool.get();
-  }
-  report.num_threads = executor->num_threads();
-
   AreaSelectOptions area;
   area.max_area_macs = request.max_area_macs;
   area.num_instructions = request.num_instructions;
   area.area_grid_macs = request.area_grid_macs;
-  SearchEngineStats engine_stats;
-  SchemeInputs inputs{bundles,
-                      latency_,
-                      request.constraints,
-                      request.num_instructions,
-                      area,
-                      executor,
-                      request.use_cache ? cache_.get() : nullptr,
-                      &local,
-                      request.subtree_split_depth,
-                      &engine_stats,
-                      hooks.budget_gate,
-                      cancel};
-  report.selection = scheme.select(inputs);
-  if (cancel != nullptr && (cancel->expired() || cancel->cancelled())) {
-    report.partial = true;
-    report.partial_reason = cancel->reason();
-  }
-  report.timings.identify_ms = ms_since(t_identify);
-  report.engine.subtree_split_depth = request.subtree_split_depth;
-  report.engine.subtree_tasks = engine_stats.subtree_tasks.load();
-  report.engine.split_searches = engine_stats.split_searches.load();
-  report.engine.serial_searches = engine_stats.serial_searches.load();
+  report.selection = select(scheme, bundles, request, area, hooks, cancel, local, report);
 
   // --- aggregate -----------------------------------------------------------
   report.total_weighted_merit = report.selection.total_weighted_merit;
@@ -613,7 +531,7 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
   }
 
   // --- AFU construction / rewrite-verify / artifact emission ---------------
-  // Partial selections emit nothing (see run_pipeline).
+  // Partial selections emit nothing (see single_pipeline).
   if (emission.active() && !report.partial) {
     const auto t_emit = Clock::now();
     // One AFU per selected instruction, synthesized from its origin

@@ -96,27 +96,12 @@ struct ExplorationRequest {
   /// Artifact emission and rewrite verification, resolved against the
   /// Explorer's EmitterRegistry (targets "verilog", "c-intrinsics", "dot",
   /// "manifest", ...). Contradictory or no-op combinations are rejected with
-  /// a structured EmissionOptionsError before any work runs.
+  /// a structured EmissionOptionsError before any work runs. A verifying
+  /// rewrite (verify_rewrites) mutates the workload module and fills
+  /// report.validation.
   EmissionOptions emission;
-
-  // --- legacy emission switches (pre-EmissionOptions API) -----------------
-  // Honoured through effective_emission(); byte-identical to the historical
-  // behaviour. New code should set `emission` instead.
-  /// Snapshot an AFU per selected cut (ports, latency, area) into the report.
-  bool build_afus = false;
-  /// Rewrite the selection into the workload's module and validate that the
-  /// transformed program is bit-exact; fills report.validation. Mutates the
-  /// workload module (workload pipelines only).
-  bool rewrite = false;
-  /// With rewrite/build_afus: capture each AFU's Verilog into the report.
-  bool emit_verilog = false;
   /// Name prefix for synthesized custom ops.
   std::string name_prefix = "isex";
-
-  /// The emission options this request effectively asks for: `emission`
-  /// merged with the legacy boolean trio (build_afus → AFU snapshots,
-  /// rewrite → verify_rewrites, emit_verilog → the "verilog" target).
-  EmissionOptions effective_emission() const;
 };
 
 /// Optional per-run instrumentation, threaded through the pipeline by the
@@ -182,28 +167,20 @@ class Explorer {
   /// service-level ResultStore to this explorer's memo state.
   const std::shared_ptr<ResultCache>& cache_handle() const { return cache_; }
 
-  /// Runs the whole pipeline. Resolves request.workload against the workload
-  /// registry, or explores request.graphs when the name is empty. The hooks
-  /// overloads stream phase boundaries and thread a shared budget gate
-  /// through the searches; results are identical with or without hooks
-  /// (modulo a gate that exhausts).
-  ExplorationReport run(const ExplorationRequest& request) const;
-  ExplorationReport run(const ExplorationRequest& request, const RunHooks& hooks) const;
+  /// Runs the whole pipeline. Resolves request.workload (or request.ir_text)
+  /// against the workload registry, or explores request.graphs in place when
+  /// neither is set: no module is available then, so module-consuming
+  /// emission is rejected and the base cycle count is the blocks' static
+  /// single-issue estimate. `hooks` stream phase boundaries and thread a
+  /// shared budget gate through the searches; results are identical with or
+  /// without hooks (modulo a gate that exhausts).
+  ExplorationReport run(const ExplorationRequest& request, const RunHooks& hooks = {}) const;
 
   /// Runs the pipeline on a caller-owned workload (bring-your-own Module).
-  /// request.workload is ignored; with request.rewrite the module is
-  /// transformed in place.
-  ExplorationReport run(Workload& workload, const ExplorationRequest& request) const;
+  /// request.workload is ignored; a verifying rewrite transforms the module
+  /// in place.
   ExplorationReport run(Workload& workload, const ExplorationRequest& request,
-                        const RunHooks& hooks) const;
-
-  /// Identification + selection on pre-extracted graphs. No module is
-  /// available, so AFU construction and rewriting are skipped; the base
-  /// cycle count is the blocks' static single-issue estimate.
-  ExplorationReport run_blocks(std::span<const Dfg> blocks,
-                               const ExplorationRequest& request) const;
-  ExplorationReport run_blocks(std::span<const Dfg> blocks, const ExplorationRequest& request,
-                               const RunHooks& hooks) const;
+                        const RunHooks& hooks = {}) const;
 
   /// Runs a batched multi-application exploration: extracts every workload
   /// (through the extraction cache), hands the weighted bundles to a
@@ -212,9 +189,8 @@ class Explorer {
   /// cache sharing. Requests naming a single-application scheme are
   /// accepted only for portfolios of exactly one workload (throws an
   /// isex::Error listing the portfolio-capable names otherwise).
-  PortfolioReport run_portfolio(const MultiExplorationRequest& request) const;
   PortfolioReport run_portfolio(const MultiExplorationRequest& request,
-                                const RunHooks& hooks) const;
+                                const RunHooks& hooks = {}) const;
 
   // --- single-block identification (paper Problem 1) ----------------------
   /// Best single cut of one block under `constraints`. Memoized through the
@@ -250,17 +226,30 @@ class Explorer {
                                    bool use_dfg_cache, bool need_module,
                                    CacheCounters* local) const;
 
-  ExplorationReport run_pipeline(Workload* workload, std::span<const Dfg> blocks,
-                                 const ExplorationRequest& request,
-                                 const RunHooks& hooks) const;
+  /// The single-workload pipeline behind both run() overloads: extracts
+  /// `workload` (or explores `blocks` when it is null), selects, emits.
+  ExplorationReport single_pipeline(Workload* workload, std::span<const Dfg> blocks,
+                                    const ExplorationRequest& request,
+                                    const RunHooks& hooks) const;
+
+  /// Identification + selection, the step both run paths share: trips an
+  /// already-expired `cancel` at the phase boundary, runs `scheme` over
+  /// `bundles` on the request's thread pool under the run's budget gate and
+  /// cancel token, and fills the fields both report types carry
+  /// (num_threads, partial/partial_reason, timings.identify_ms, engine).
+  template <typename Request, typename Report>
+  PortfolioSelectionResult select(const SelectionScheme& scheme,
+                                  std::span<const WorkloadBundle> bundles,
+                                  const Request& request, const AreaSelectOptions& area,
+                                  const RunHooks& hooks, CancelToken* cancel,
+                                  CacheCounters& local, Report& report) const;
 
   /// AFU construction, rewrite-verify and artifact emission for one
-  /// pipeline run (single application). Fills report.afus/verilog/
-  /// validation/emission; `workload` may be null only when the effective
-  /// options passed validation for a graph-only request.
+  /// pipeline run (single application). Fills report.afus/validation/
+  /// emission; `workload` may be null only when the options passed
+  /// validation for a graph-only request.
   void emit_single(Workload* workload, std::span<const Dfg> blocks,
-                   const ExplorationRequest& request, const EmissionOptions& emission,
-                   ExplorationReport& report) const;
+                   const ExplorationRequest& request, ExplorationReport& report) const;
 
   LatencyModel latency_;
   SchemeRegistry* registry_;

@@ -76,12 +76,8 @@ ValidationReport validation_from_json(const Json& j) {
   ValidationReport v;
   v.rewritten = j.at("rewritten").as_bool();
   v.bit_exact = j.at("bit_exact").as_bool();
-  // Absent in reports serialized before the emission backend introduced the
-  // invocation-count check; default so archived report files stay loadable.
-  if (const Json* counts = j.find("counts_match")) v.counts_match = counts->as_bool();
-  if (const Json* invocations = j.find("custom_invocations")) {
-    v.custom_invocations = invocations->as_uint();
-  }
+  v.counts_match = j.at("counts_match").as_bool();
+  v.custom_invocations = j.at("custom_invocations").as_uint();
   v.cycles_before = j.at("cycles_before").as_uint();
   v.cycles_after = j.at("cycles_after").as_uint();
   v.measured_speedup = j.at("measured_speedup").as_double();
@@ -228,12 +224,11 @@ ExplorationReport ExplorationReport::from_json(const Json& j) {
   for (const Json& a : j.at("afus").as_array()) r.afus.push_back(afu_from_json(a));
   r.afu_area_macs = j.at("afu_area_macs").as_double();
   r.validation = validation_from_json(j.at("validation"));
-  // Absent in reports serialized before the emission backend existed.
-  if (const Json* e = j.find("emission")) r.emission = emission_from_json(*e);
+  r.emission = emission_from_json(j.at("emission"));
   const Json& t = j.at("timings");
   r.timings.extract_ms = t.at("extract_ms").as_double();
   r.timings.identify_ms = t.at("identify_ms").as_double();
-  if (const Json* e = t.find("emit_ms")) r.timings.emit_ms = e->as_double();
+  r.timings.emit_ms = t.at("emit_ms").as_double();
   r.timings.total_ms = t.at("total_ms").as_double();
   const Json& c = j.at("cache");
   r.cache.enabled = c.at("enabled").as_bool();
@@ -242,14 +237,9 @@ ExplorationReport ExplorationReport::from_json(const Json& j) {
   r.cache.counters.dfg_hits = c.at("dfg_hits").as_uint();
   r.cache.counters.dfg_misses = c.at("dfg_misses").as_uint();
   r.cache.counters.evictions = c.at("evictions").as_uint();
-  // Absent in reports serialized before the portfolio API introduced the
-  // counter; default to 0 so archived report files stay loadable.
-  if (const Json* cross = c.find("cross_workload_hits")) {
-    r.cache.counters.cross_workload_hits = cross->as_uint();
-  }
-  // Absent in reports from serial-engine requests and in archived files.
+  r.cache.counters.cross_workload_hits = c.at("cross_workload_hits").as_uint();
+  // Emitted only for subtree-split requests and cut-short runs (see to_json).
   if (const Json* e = j.find("engine")) r.engine = engine_from_json(*e);
-  // Absent in complete reports and in archived files.
   if (const Json* p = j.find("partial")) {
     r.partial = p->as_bool();
     r.partial_reason = j.at("partial_reason").as_string();

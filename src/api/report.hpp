@@ -145,10 +145,6 @@ struct ExplorationReport {
   /// `partial` is false.
   std::string partial_reason;
 
-  /// Verilog of each synthesized AFU (the "verilog" emission target / legacy
-  /// request.emit_verilog); not serialized — see emission.artifacts for the
-  /// hashed, disk-written form.
-  std::vector<std::string> verilog;
   /// The raw selection (bit vectors usable against the extracted DFGs); not
   /// serialized.
   SelectionResult selection;

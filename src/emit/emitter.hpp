@@ -35,9 +35,8 @@
 
 namespace isex {
 
-/// Structured emission request (replaces the pre-Explorer build_afus /
-/// rewrite / emit_verilog boolean trio on ExplorationRequest; the old fields
-/// keep working through ExplorationRequest::effective_emission()).
+/// Structured emission request: which artifacts to emit, where, and whether
+/// to rewrite-verify the selection.
 struct EmissionOptions {
   /// Emitter names resolved against the EmitterRegistry ("verilog",
   /// "c-intrinsics", "dot", "manifest", or user-added).
@@ -51,8 +50,8 @@ struct EmissionOptions {
   /// profile. Mutates the workload module(s); fills the validation report.
   bool verify_rewrites = false;
   /// Snapshot AFU descriptions (ports, latency, area) into the report even
-  /// when no target consumes them (the legacy `build_afus` behaviour; implied
-  /// by verify_rewrites and by any module-consuming target). Single-workload
+  /// when no target consumes them (implied by verify_rewrites and by any
+  /// module-consuming target). Single-workload
   /// requests only — PortfolioReport has no AFU-snapshot field, so
   /// run_portfolio rejects it in favour of module-consuming targets.
   bool build_afus = false;

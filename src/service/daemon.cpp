@@ -25,17 +25,10 @@ class IsexDaemon::Connection : public EventSink {
   ~Connection() override { join(); }
 
   bool emit(const std::string& id, const std::string& event, const Json& data) override {
-    return emit_versioned(id, event, data, kServiceProtocolVersion);
-  }
-
-  /// As emit(), tagging the frame with the protocol version the subscriber's
-  /// request arrived under — a v1 client never reads a v2-tagged frame.
-  bool emit_versioned(const std::string& id, const std::string& event, const Json& data,
-                      int version) {
     std::lock_guard<std::mutex> lock(write_mu_);
     if (!alive_) return false;
     try {
-      if (!write_all(fd_.get(), dump_event_frame(id, event, data, version))) {
+      if (!write_all(fd_.get(), dump_event_frame(id, event, data))) {
         alive_ = false;
       }
     } catch (const SocketError&) {
@@ -43,23 +36,6 @@ class IsexDaemon::Connection : public EventSink {
     }
     return alive_;
   }
-
-  /// Subscriber adapter pairing this connection with the protocol version
-  /// one request frame was tagged with; every event a job publishes to the
-  /// subscriber echoes that version, so a v1 client never reads a v2 frame.
-  class VersionedSink : public EventSink {
-   public:
-    VersionedSink(std::shared_ptr<Connection> conn, int version)
-        : conn_(std::move(conn)), version_(version) {}
-
-    bool emit(const std::string& id, const std::string& event, const Json& data) override {
-      return conn_->emit_versioned(id, event, data, version_);
-    }
-
-   private:
-    std::shared_ptr<Connection> conn_;  // keeps the fd open
-    int version_;
-  };
 
   /// Runs `body` on the connection's reader thread.
   template <typename Fn>
@@ -280,20 +256,16 @@ void IsexDaemon::serve_connection(const std::shared_ptr<Connection>& conn) {
 bool IsexDaemon::handle_line(const std::shared_ptr<Connection>& conn,
                              const std::string& line) {
   std::string id;
-  int version = kServiceProtocolVersion;
   try {
-    RequestFrame frame = parse_request_frame(line, &id, &version);
-    if (frame.type == "ping") {
-      return conn->emit_versioned(id, "pong", store_->status(), frame.version);
-    }
+    RequestFrame frame = parse_request_frame(line, &id);
+    if (frame.type == "ping") return conn->emit(id, "pong", store_->status());
     if (config_.max_search_budget > 0 &&
         (frame.search_budget == 0 || frame.search_budget > config_.max_search_budget)) {
       // Operator ceiling: unlimited or over-ceiling requests are clamped,
       // and the clamp is visible in the report's budget section.
       frame.search_budget = config_.max_search_budget;
     }
-    auto sink = std::make_shared<Connection::VersionedSink>(conn, frame.version);
-    queue_.submit(std::move(frame), id, std::move(sink));  // emits the accepted event
+    queue_.submit(std::move(frame), id, conn);  // emits the accepted event
     return true;
   } catch (const ServiceError& e) {
     Json data = Json::object();
@@ -302,7 +274,7 @@ bool IsexDaemon::handle_line(const std::shared_ptr<Connection>& conn,
     // Machine-readable extras (e.g. queue-full's retry_after_ms) ride next
     // to code/message in the event's data object.
     for (const auto& [key, value] : e.details().as_object()) data.set(key, value);
-    return conn->emit_versioned(id, "error", data, version);
+    return conn->emit(id, "error", data);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "core/serialize.hpp"
@@ -38,6 +39,30 @@ void for_known_keys(const Json& j, const char* what, Fn&& handle) {
   }
 }
 
+/// `value` as an int. Values outside `int` are bad-requests: a silent
+/// narrowing would turn 4294967297 into 1.
+int int_field(const Json& value, const char* what) {
+  const std::int64_t v = value.as_int();
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw ServiceError(kErrBadRequest, std::string(what) + ": " + std::to_string(v) +
+                                           " is out of range");
+  }
+  return static_cast<int>(v);
+}
+
+/// The area knapsack's grid: positive, and a budget that fits the table
+/// ceiling. Only a positive `max_area_macs` sizes a table.
+void check_area_grid(double max_area_macs, double area_grid_macs) {
+  if (!(area_grid_macs > 0)) {
+    throw ServiceError(kErrBadRequest, "area_grid_macs must be > 0");
+  }
+  if (max_area_macs > 0 && !(max_area_macs / area_grid_macs <= kMaxRequestAreaGridCells)) {
+    throw ServiceError(kErrBadRequest,
+                       "max_area_macs / area_grid_macs must be <= " +
+                           std::to_string(static_cast<int>(kMaxRequestAreaGridCells)));
+  }
+}
+
 Json to_json(const DfgOptions& options) {
   Json j = Json::object();
   j.set("allow_rom_loads", options.allow_rom_loads);
@@ -70,7 +95,7 @@ AreaSelectOptions area_options_from_json(const Json& j) {
     if (key == "max_area_macs") {
       area.max_area_macs = value.as_double();
     } else if (key == "num_instructions") {
-      area.num_instructions = static_cast<int>(value.as_int());
+      area.num_instructions = int_field(value, "area.num_instructions");
     } else if (key == "area_grid_macs") {
       area.area_grid_macs = value.as_double();
     } else {
@@ -78,6 +103,10 @@ AreaSelectOptions area_options_from_json(const Json& j) {
     }
     return true;
   });
+  if (!(area.max_area_macs >= 0)) {
+    throw ServiceError(kErrBadRequest, "area.max_area_macs must be >= 0");
+  }
+  check_area_grid(area.max_area_macs, area.area_grid_macs);
   return area;
 }
 
@@ -88,9 +117,9 @@ Constraints service_constraints_from_json(const Json& j) {
   Constraints c;
   for_known_keys(j, "constraints", [&](const std::string& key, const Json& value) {
     if (key == "max_inputs") {
-      c.max_inputs = static_cast<int>(value.as_int());
+      c.max_inputs = int_field(value, "max_inputs");
     } else if (key == "max_outputs") {
-      c.max_outputs = static_cast<int>(value.as_int());
+      c.max_outputs = int_field(value, "max_outputs");
     } else if (key == "enable_pruning") {
       c.enable_pruning = value.as_bool();
     } else if (key == "prune_permanent_inputs") {
@@ -129,15 +158,16 @@ void check_workload_name(const std::string& name, const char* what) {
 }
 
 void check_common_knobs(int num_instructions, int num_threads, int subtree_split_depth) {
-  if (num_instructions < 1) {
-    throw ServiceError(kErrBadRequest, "num_instructions must be >= 1");
-  }
-  if (num_threads < 0) {
-    throw ServiceError(kErrBadRequest, "num_threads must be >= 0 (0 = hardware)");
-  }
-  if (subtree_split_depth < 0) {
-    throw ServiceError(kErrBadRequest, "subtree_split_depth must be >= 0");
-  }
+  const auto check = [](int value, int lo, int hi, const char* what) {
+    if (value < lo || value > hi) {
+      throw ServiceError(kErrBadRequest, std::string(what) + " must be in [" +
+                                             std::to_string(lo) + ", " +
+                                             std::to_string(hi) + "]");
+    }
+  };
+  check(num_instructions, 1, kMaxRequestInstructions, "num_instructions");
+  check(num_threads, 0, kMaxRequestThreads, "num_threads (0 = hardware)");
+  check(subtree_split_depth, 0, kMaxRequestSplitDepth, "subtree_split_depth");
 }
 
 PortfolioWorkloadRequest portfolio_workload_from_json(const Json& j) {
@@ -161,25 +191,23 @@ PortfolioWorkloadRequest portfolio_workload_from_json(const Json& j) {
   return wr;
 }
 
-int frame_version(const Json& j) {
+void check_frame_version(const Json& j) {
   const Json* tag = j.find("isex");
   if (tag == nullptr) {
     throw ServiceError(kErrBadFrame, "frame carries no 'isex' protocol version tag");
   }
-  int version = 0;
+  std::int64_t version = 0;
   try {
-    version = static_cast<int>(tag->as_int());
+    version = tag->as_int();
   } catch (const Error&) {
     throw ServiceError(kErrBadFrame, "'isex' version tag is not an integer");
   }
   if (version < kMinServiceProtocolVersion || version > kServiceProtocolVersion) {
     throw ServiceError(kErrUnsupportedVersion,
                        "protocol version " + std::to_string(version) +
-                           " is not supported (this daemon speaks versions " +
-                           std::to_string(kMinServiceProtocolVersion) + " through " +
+                           " is not supported (this daemon speaks version " +
                            std::to_string(kServiceProtocolVersion) + ")");
   }
-  return version;
 }
 
 Json parse_frame_object(const std::string& line, const char* what) {
@@ -200,8 +228,8 @@ Json parse_frame_object(const std::string& line, const char* what) {
 Json to_json(const ExplorationRequest& request) {
   Json j = Json::object();
   j.set("workload", request.workload);
-  // Emitted only when set: absent-field canonicalization keeps the dedup
-  // fingerprints of plain registry requests identical to protocol v1.
+  // Emitted only when set, so a registry request's body (and dedup
+  // fingerprint) carries no text field.
   if (!request.ir_text.empty()) j.set("ir_text", request.ir_text);
   j.set("scheme", request.scheme);
   j.set("constraints", to_json(request.constraints));
@@ -228,15 +256,15 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
       } else if (key == "constraints") {
         request.constraints = service_constraints_from_json(value);
       } else if (key == "num_instructions") {
-        request.num_instructions = static_cast<int>(value.as_int());
+        request.num_instructions = int_field(value, "num_instructions");
       } else if (key == "area") {
         request.area = area_options_from_json(value);
       } else if (key == "dfg_options") {
         request.dfg_options = dfg_options_from_json(value);
       } else if (key == "num_threads") {
-        request.num_threads = static_cast<int>(value.as_int());
+        request.num_threads = int_field(value, "num_threads");
       } else if (key == "subtree_split_depth") {
-        request.subtree_split_depth = static_cast<int>(value.as_int());
+        request.subtree_split_depth = int_field(value, "subtree_split_depth");
       } else if (key == "use_cache") {
         request.use_cache = value.as_bool();
       } else if (key == "name_prefix") {
@@ -245,8 +273,7 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
         throw ServiceError(kErrBadRequest,
                            "request: pre-extracted graphs are not servable — ship the "
                            "kernel as an ir_text workload document instead");
-      } else if (key == "emission" || key == "build_afus" || key == "rewrite" ||
-                 key == "emit_verilog") {
+      } else if (key == "emission") {
         throw ServiceError(kErrBadRequest,
                            "request: artifact emission is a local-caller feature; the "
                            "service does not write artifacts on the daemon host");
@@ -303,15 +330,15 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j) {
       } else if (key == "constraints") {
         request.constraints = service_constraints_from_json(value);
       } else if (key == "num_instructions") {
-        request.num_instructions = static_cast<int>(value.as_int());
+        request.num_instructions = int_field(value, "num_instructions");
       } else if (key == "max_area_macs") {
         request.max_area_macs = value.as_double();
       } else if (key == "area_grid_macs") {
         request.area_grid_macs = value.as_double();
       } else if (key == "num_threads") {
-        request.num_threads = static_cast<int>(value.as_int());
+        request.num_threads = int_field(value, "num_threads");
       } else if (key == "subtree_split_depth") {
-        request.subtree_split_depth = static_cast<int>(value.as_int());
+        request.subtree_split_depth = int_field(value, "subtree_split_depth");
       } else if (key == "use_cache") {
         request.use_cache = value.as_bool();
       } else if (key == "name_prefix") {
@@ -330,12 +357,12 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j) {
     }
     check_common_knobs(request.num_instructions, request.num_threads,
                        request.subtree_split_depth);
+    check_area_grid(request.max_area_macs, request.area_grid_macs);
     return request;
   });
 }
 
-RequestFrame parse_request_frame(const std::string& line, std::string* id_out,
-                                 int* version_out) {
+RequestFrame parse_request_frame(const std::string& line, std::string* id_out) {
   const Json j = parse_frame_object(line, "request frame");
   // Surface the correlation id before any validation can throw, so error
   // events stay addressable.
@@ -343,11 +370,9 @@ RequestFrame parse_request_frame(const std::string& line, std::string* id_out,
       id != nullptr && id->type() == Json::Type::string && id_out != nullptr) {
     *id_out = id->as_string();
   }
-  const int version = frame_version(j);
-  if (version_out != nullptr) *version_out = version;
+  check_frame_version(j);
 
   RequestFrame frame;
-  frame.version = version;
   for_known_keys(j, "frame", [&](const std::string& key, const Json& value) {
     if (key == "isex") return true;  // checked above
     if (key == "id") {
@@ -366,12 +391,6 @@ RequestFrame parse_request_frame(const std::string& line, std::string* id_out,
     return true;
   });
 
-  if (frame.deadline_ms != 0 && frame.version < 3) {
-    throw ServiceError(kErrBadRequest,
-                       "frame: deadline_ms needs protocol version 3 (frame is tagged " +
-                           std::to_string(frame.version) + ")");
-  }
-
   if (frame.type == "ping") {
     if (j.find("request") != nullptr) {
       throw ServiceError(kErrBadRequest, "ping frames carry no request body");
@@ -384,11 +403,6 @@ RequestFrame parse_request_frame(const std::string& line, std::string* id_out,
   }
   if (frame.type == "explore") {
     frame.single = exploration_request_from_json(*request);
-    if (!frame.single->ir_text.empty() && frame.version < 2) {
-      throw ServiceError(kErrBadRequest,
-                         "request: ir_text needs protocol version 2 (frame is tagged " +
-                             std::to_string(frame.version) + ")");
-    }
   } else if (frame.type == "explore-portfolio") {
     frame.portfolio = multi_exploration_request_from_json(*request);
   } else {
@@ -401,7 +415,7 @@ RequestFrame parse_request_frame(const std::string& line, std::string* id_out,
 
 std::string dump_request_frame(const RequestFrame& frame) {
   Json j = Json::object();
-  j.set("isex", frame.version);
+  j.set("isex", kServiceProtocolVersion);
   j.set("id", frame.id);
   j.set("type", frame.type);
   if (frame.search_budget != 0) j.set("search_budget", frame.search_budget);
@@ -415,9 +429,9 @@ std::string dump_request_frame(const RequestFrame& frame) {
 }
 
 std::string dump_event_frame(const std::string& id, const std::string& event,
-                             const Json& data, int version) {
+                             const Json& data) {
   Json j = Json::object();
-  j.set("isex", version);
+  j.set("isex", kServiceProtocolVersion);
   j.set("id", id);
   j.set("event", event);
   j.set("data", data);
@@ -426,7 +440,7 @@ std::string dump_event_frame(const std::string& id, const std::string& event,
 
 EventFrame parse_event_frame(const std::string& line) {
   const Json j = parse_frame_object(line, "event frame");
-  frame_version(j);
+  check_frame_version(j);
   EventFrame frame;
   try {
     frame.id = j.at("id").as_string();
@@ -445,8 +459,8 @@ std::uint64_t request_fingerprint(const RequestFrame& frame) {
   Json j = Json::object();
   j.set("type", frame.type);
   j.set("search_budget", frame.search_budget);
-  // Emitted only when set, so pre-v3 requests fingerprint exactly as before.
-  // Distinct deadlines must stay distinct computations: a 50ms request may
+  // Emitted only when set, so an undeadlined request's fingerprint carries no
+  // deadline field. Distinct deadlines must stay distinct computations: a 50ms request may
   // legitimately produce a partial report where a 5s one completes.
   if (frame.deadline_ms != 0) j.set("deadline_ms", frame.deadline_ms);
   if (frame.single.has_value()) j.set("request", to_json(*frame.single));

@@ -2,34 +2,34 @@
 // version-tagged JSON frames over a Unix-domain socket.
 //
 // Client -> server, one frame per request:
-//   {"isex": 1, "id": "r1", "type": "explore",           "request": {...}}
-//   {"isex": 1, "id": "r2", "type": "explore-portfolio", "request": {...},
-//    "search_budget": 50000}
-//   {"isex": 1, "id": "p",  "type": "ping"}
+//   {"isex": 3, "id": "r1", "type": "explore",           "request": {...}}
+//   {"isex": 3, "id": "r2", "type": "explore-portfolio", "request": {...},
+//    "search_budget": 50000, "deadline_ms": 2000}
+//   {"isex": 3, "id": "p",  "type": "ping"}
 // `id` is a client-chosen correlation tag echoed on every response frame
 // (requests on one connection may be pipelined). `request` carries the
 // ExplorationRequest / MultiExplorationRequest fields serialized below —
-// a registry workload name or (version >= 2) an `ir_text` textual workload
-// document travelling inside the frame, but never a host file path, and no
-// emission options (artifacts are a local-caller feature; the daemon
-// rejects the key rather than silently dropping it).
+// a registry workload name or an `ir_text` textual workload document
+// travelling inside the frame, but never a host file path, and no emission
+// options (artifacts are a local-caller feature; the daemon rejects the key
+// rather than silently dropping it).
 // `search_budget` is the *per-request* ticket budget: the daemon runs every
 // identification search of the request against one shared BudgetGate, so
 // the aggregate cuts_considered pins at min(demand, budget) exactly.
-// `deadline_ms` (version >= 3) is the *per-request* wall-clock deadline:
-// when it fires mid-search the daemon stops cooperatively and answers with
-// a report flagged `partial: true` instead of burning the full search.
+// `deadline_ms` is the *per-request* wall-clock deadline: when it fires
+// mid-search the daemon stops cooperatively and answers with a report
+// flagged `partial: true` instead of burning the full search.
 //
 // Server -> client, a stream of phase events per request, ending in exactly
 // one `report` or `error`:
-//   {"isex": 1, "id": "r1", "event": "accepted",   "data": {fingerprint,
+//   {"isex": 3, "id": "r1", "event": "accepted",   "data": {fingerprint,
 //        deduped, batched, batch_size, queue_depth}}
-//   {"isex": 1, "id": "r1", "event": "extracted",  "data": {...}}
-//   {"isex": 1, "id": "r1", "event": "identified", "data": {...}}
-//   {"isex": 1, "id": "r1", "event": "selected",   "data": {...}}
-//   {"isex": 1, "id": "r1", "event": "report",     "data": {kind, report,
+//   {"isex": 3, "id": "r1", "event": "extracted",  "data": {...}}
+//   {"isex": 3, "id": "r1", "event": "identified", "data": {...}}
+//   {"isex": 3, "id": "r1", "event": "selected",   "data": {...}}
+//   {"isex": 3, "id": "r1", "event": "report",     "data": {kind, report,
 //        store}}
-//   {"isex": 1, "id": "r1", "event": "error",      "data": {code, message}}
+//   {"isex": 3, "id": "r1", "event": "error",      "data": {code, message}}
 // `report.data.report` is the full ExplorationReport / PortfolioReport JSON,
 // byte-identical to the in-process Explorer run against the same cache
 // state (modulo wall-clock timings; see stable_report_json). `store` adds
@@ -59,18 +59,23 @@ namespace isex {
 /// Version history:
 ///   1 — named registry workloads only.
 ///   2 — adds `request.ir_text`: a textual `.isex` workload document carried
-///       inside the frame, so clients can serve graphs the daemon host has
-///       never seen. v1 frames are still accepted (and answered with
-///       v1-tagged events); a v1 frame carrying ir_text is a bad-request.
-///   3 — adds `deadline_ms`: a per-request wall-clock deadline. The daemon
-///       cancels the search cooperatively when it fires and answers with a
-///       report flagged `partial: true` carrying the best selection found so
-///       far (`partial_reason: "deadline_exceeded"`). Also adds structured
-///       error `details` (e.g. `retry_after_ms` on queue-full). Frames from
-///       versions 1 and 2 are still accepted; a pre-v3 frame carrying
-///       deadline_ms is a bad-request.
+///       inside the frame.
+///   3 — adds `deadline_ms` (a per-request wall-clock deadline answered with
+///       a `partial: true` report when it fires) and structured error
+///       `details` (e.g. `retry_after_ms` on queue-full).
+/// Only version 3 is served; v1/v2 frames get `unsupported-version`.
 inline constexpr int kServiceProtocolVersion = 3;
-inline constexpr int kMinServiceProtocolVersion = 1;
+inline constexpr int kMinServiceProtocolVersion = 3;
+
+/// Ceilings on the wire integers that size daemon work. Requests above them
+/// are bad-requests: one frame must not be able to ask for an unbounded
+/// thread pool, a giant subtree-split path, or an unbounded selection table.
+inline constexpr int kMaxRequestThreads = 256;
+inline constexpr int kMaxRequestSplitDepth = 24;
+inline constexpr int kMaxRequestInstructions = 256;
+/// Largest `max_area_macs / area_grid_macs`: the area knapsack's capacity
+/// dimension (the default budget and grid need 500 cells).
+inline constexpr double kMaxRequestAreaGridCells = 1 << 14;
 
 // Structured error codes (the `code` field of error events).
 inline constexpr const char* kErrBadFrame = "bad-frame";            // not a JSON object
@@ -106,7 +111,8 @@ class ServiceError : public Error {
 // The service-visible subset of the request structs: everything JSON can
 // carry (named workloads, scheme, constraints, budgets, threading knobs).
 // from_json is strict — unknown keys, wrong types and out-of-range values
-// throw ServiceError(kErrBadRequest) so client typos surface as structured
+// (integers outside `int` or above the ceilings above) throw
+// ServiceError(kErrBadRequest) so client typos surface as structured
 // errors instead of silently exploring defaults. to_json emits every
 // serializable field, so from_json(to_json(r)) round-trips exactly.
 
@@ -123,18 +129,13 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j);
 struct RequestFrame {
   std::string id;    // client correlation tag (may be empty)
   std::string type;  // "explore" | "explore-portfolio" | "ping"
-  /// Protocol version the frame arrived under (parse) or is rendered with
-  /// (dump). Every event the daemon answers with echoes this version, so a
-  /// v1 client never reads a frame tagged with a version it would reject.
-  int version = kServiceProtocolVersion;
   /// Per-request search-ticket budget (0 = unlimited): enforced by the
   /// daemon through one shared BudgetGate across every identification
   /// search of the request.
   std::uint64_t search_budget = 0;
-  /// Per-request wall-clock deadline in milliseconds (0 = none; needs
-  /// protocol version >= 3): the daemon arms a CancelToken at admission and
-  /// the engines stop cooperatively when it fires, answering with a
-  /// `partial: true` report instead of an error.
+  /// Per-request wall-clock deadline in milliseconds (0 = none): the daemon
+  /// arms a CancelToken at admission and the engines stop cooperatively when
+  /// it fires, answering with a `partial: true` report instead of an error.
   std::uint64_t deadline_ms = 0;
   std::optional<ExplorationRequest> single;
   std::optional<MultiExplorationRequest> portfolio;
@@ -144,11 +145,8 @@ struct RequestFrame {
 /// kErrBadFrame (not JSON / not an object), kErrUnsupportedVersion, or
 /// kErrBadRequest (unknown type, malformed request body). When the frame is
 /// an object carrying an `id` string, `*id_out` receives it even on failure
-/// so the error event can still be correlated; `*version_out` likewise
-/// receives the frame's version tag as soon as it is known, so the error
-/// event can be rendered in the sender's dialect.
-RequestFrame parse_request_frame(const std::string& line, std::string* id_out = nullptr,
-                                 int* version_out = nullptr);
+/// so the error event can still be correlated.
+RequestFrame parse_request_frame(const std::string& line, std::string* id_out = nullptr);
 
 /// Renders a client frame (the client library's send path).
 std::string dump_request_frame(const RequestFrame& frame);
@@ -160,10 +158,9 @@ struct EventFrame {
   Json data;
 };
 
-/// Renders one server event frame (terminating newline included). `version`
-/// tags the frame; the daemon passes each subscriber's request version.
+/// Renders one server event frame (terminating newline included).
 std::string dump_event_frame(const std::string& id, const std::string& event,
-                             const Json& data, int version = kServiceProtocolVersion);
+                             const Json& data);
 
 /// Parses one server frame; throws ServiceError(kErrBadFrame /
 /// kErrUnsupportedVersion) on garbage.

@@ -41,8 +41,10 @@ std::vector<Dfg> random_blocks(std::uint64_t seed, int count, int num_ops) {
   return blocks;
 }
 
-ExplorationRequest blocks_request(int num_threads, int split_depth) {
+ExplorationRequest blocks_request(const std::vector<Dfg>& blocks, int num_threads,
+                                  int split_depth) {
   ExplorationRequest request;
+  request.graphs = blocks;
   request.constraints = cons(3, 2);
   request.num_instructions = 4;
   request.scheme = "iterative";
@@ -71,11 +73,11 @@ Json comparable(const Json& payload) {
 TEST(CancellationPurity, NeverFiringTokenIsByteIdenticalToNoToken) {
   const std::vector<Dfg> blocks = random_blocks(3, 5, 12);
   for (const int threads : {1, 8}) {
-    const ExplorationRequest request = blocks_request(threads, 4);
+    const ExplorationRequest request = blocks_request(blocks, threads, 4);
 
     auto plain_cache = std::make_shared<ResultCache>();
     const Explorer plain(kLat, plain_cache);
-    const ExplorationReport baseline = plain.run_blocks(blocks, request);
+    const ExplorationReport baseline = plain.run(request);
     EXPECT_FALSE(baseline.partial);
 
     auto token_cache = std::make_shared<ResultCache>();
@@ -83,7 +85,7 @@ TEST(CancellationPurity, NeverFiringTokenIsByteIdenticalToNoToken) {
     CancelToken token;  // present but never tripped
     RunHooks hooks;
     hooks.cancel = &token;
-    const ExplorationReport tokened = with_token.run_blocks(blocks, request, hooks);
+    const ExplorationReport tokened = with_token.run(request, hooks);
 
     EXPECT_FALSE(tokened.partial) << threads;
     EXPECT_EQ(comparable(tokened.to_json()).dump(), comparable(baseline.to_json()).dump())
@@ -112,7 +114,7 @@ TEST(CancellationPurity, MidSearchTripLeavesTheSharedCacheUntouchedAcrossThreadC
       RunHooks hooks;
       hooks.cancel = &token;
       const ExplorationReport report =
-          explorer.run_blocks(blocks, blocks_request(threads, split), hooks);
+          explorer.run(blocks_request(blocks, threads, split), hooks);
 
       const std::string label =
           "threads=" + std::to_string(threads) + " split=" + std::to_string(split);
@@ -135,7 +137,7 @@ TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache
   RunHooks hooks;
   hooks.cancel = &token;
   const ExplorationReport report =
-      explorer.run_blocks(blocks, blocks_request(1, 0), hooks);
+      explorer.run(blocks_request(blocks, 1, 0), hooks);
 
   EXPECT_TRUE(report.partial);
   EXPECT_EQ(report.partial_reason, kReasonDeadlineExceeded);
@@ -144,7 +146,7 @@ TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache
 
 TEST(CancellationPurity, CancelledRunsNeverPoisonLaterCacheHits) {
   const std::vector<Dfg> blocks = random_blocks(19, 6, 12);
-  const ExplorationRequest request = blocks_request(2, 0);
+  const ExplorationRequest request = blocks_request(blocks, 2, 0);
 
   // A mid-run trip: early searches may have completed (and stored their
   // *complete* enumerations — those are valid entries), later ones return
@@ -155,15 +157,15 @@ TEST(CancellationPurity, CancelledRunsNeverPoisonLaterCacheHits) {
   token.trip_after_polls(200);
   RunHooks hooks;
   hooks.cancel = &token;
-  const ExplorationReport cancelled = explorer.run_blocks(blocks, request, hooks);
+  const ExplorationReport cancelled = explorer.run(request, hooks);
   ASSERT_TRUE(cancelled.partial);  // 6 blocks of 12 ops demand far more polls
 
   // Replaying the request through the survivor cache must equal a cold run
   // on a fresh cache byte-for-byte: every entry the cancelled run left
   // behind replays its cold search exactly.
-  const ExplorationReport warm = explorer.run_blocks(blocks, request);
+  const ExplorationReport warm = explorer.run(request);
   const Explorer fresh(kLat, std::make_shared<ResultCache>());
-  const ExplorationReport cold = fresh.run_blocks(blocks, request);
+  const ExplorationReport cold = fresh.run(request);
   EXPECT_FALSE(warm.partial);
   EXPECT_EQ(comparable(warm.to_json()).dump(), comparable(cold.to_json()).dump());
 }
@@ -177,7 +179,7 @@ TEST(CancellationPurity, PartialFlagRoundTripsThroughReportJson) {
   RunHooks hooks;
   hooks.cancel = &token;
   const ExplorationReport partial =
-      explorer.run_blocks(blocks, blocks_request(1, 0), hooks);
+      explorer.run(blocks_request(blocks, 1, 0), hooks);
   ASSERT_TRUE(partial.partial);
   const ExplorationReport back = ExplorationReport::from_json(partial.to_json());
   EXPECT_TRUE(back.partial);
@@ -185,7 +187,7 @@ TEST(CancellationPurity, PartialFlagRoundTripsThroughReportJson) {
   EXPECT_EQ(back.to_json().dump(), partial.to_json().dump());
 
   // Complete reports spend no bytes on the flag and parse back untripped.
-  const ExplorationReport full = explorer.run_blocks(blocks, blocks_request(1, 0));
+  const ExplorationReport full = explorer.run(blocks_request(blocks, 1, 0));
   EXPECT_EQ(full.to_json().find("partial"), nullptr);
   EXPECT_FALSE(ExplorationReport::from_json(full.to_json()).partial);
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/area_select.hpp"
 #include "core/baseline_select.hpp"
 #include "core/iterative_select.hpp"
@@ -209,7 +211,7 @@ TEST(Explorer, SchemesMatchLegacyFunctionsOnFixedKernels) {
   request.num_instructions = 4;
   for (const std::string& scheme : kAllSchemes) {
     request.scheme = scheme;
-    const ExplorationReport report = explorer.run_blocks(blocks, request);
+    const ExplorationReport report = explorer.run(request);
     const SelectionResult legacy =
         legacy_select(scheme, blocks, request.constraints, request.num_instructions);
     expect_identical(report.selection, legacy, scheme);
@@ -221,11 +223,12 @@ TEST(Explorer, SchemesMatchLegacyFunctionsOnRandomDags) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::vector<Dfg> blocks = random_blocks(seed, 3, 10);
     ExplorationRequest request;
+    request.graphs = blocks;
     request.constraints = cons(3, 2);
     request.num_instructions = 3;
     for (const std::string& scheme : kAllSchemes) {
       request.scheme = scheme;
-      const ExplorationReport report = explorer.run_blocks(blocks, request);
+      const ExplorationReport report = explorer.run(request);
       const SelectionResult legacy =
           legacy_select(scheme, blocks, request.constraints, request.num_instructions);
       expect_identical(report.selection, legacy, scheme + " seed " + std::to_string(seed));
@@ -241,14 +244,15 @@ TEST(Explorer, ParallelIdentificationMatchesSerial) {
     const std::vector<Dfg> blocks = random_blocks(seed, 6, 12);
     for (const std::string& scheme : kAllSchemes) {
       ExplorationRequest request;
+      request.graphs = blocks;
       request.constraints = cons(3, 2);
       request.num_instructions = 4;
       request.scheme = scheme;
 
       request.num_threads = 1;
-      const ExplorationReport serial = explorer.run_blocks(blocks, request);
+      const ExplorationReport serial = explorer.run(request);
       request.num_threads = 4;
-      const ExplorationReport parallel = explorer.run_blocks(blocks, request);
+      const ExplorationReport parallel = explorer.run(request);
 
       expect_identical(parallel.selection, serial.selection,
                        scheme + " seed " + std::to_string(seed));
@@ -282,8 +286,8 @@ TEST(Explorer, WorkloadPipelineRewritesAndValidates) {
   request.scheme = "iterative";
   request.constraints = cons(4, 2);
   request.num_instructions = 2;
-  request.rewrite = true;
-  request.emit_verilog = true;
+  request.emission.verify_rewrites = true;
+  request.emission.targets = {"verilog"};
 
   const Explorer explorer(kLat);
   Workload w = find_workload("gsm");
@@ -295,8 +299,13 @@ TEST(Explorer, WorkloadPipelineRewritesAndValidates) {
   EXPECT_LT(report.validation.cycles_after, report.validation.cycles_before);
   EXPECT_GT(report.validation.measured_speedup, 1.0);
   ASSERT_EQ(report.afus.size(), report.cuts.size());
-  ASSERT_EQ(report.verilog.size(), report.afus.size());
-  EXPECT_NE(report.verilog[0].find("module"), std::string::npos);
+  // One Verilog module artifact per synthesized AFU.
+  for (const AfuReport& afu : report.afus) {
+    const auto& artifacts = report.emission.artifacts;
+    EXPECT_TRUE(std::any_of(artifacts.begin(), artifacts.end(), [&](const ArtifactReport& a) {
+      return a.path == "afu/" + afu.name + ".v" && a.bytes > 0;
+    })) << afu.name;
+  }
   EXPECT_GT(report.afu_area_macs, 0.0);
 }
 
@@ -320,12 +329,13 @@ TEST(Explorer, StatsSurfaceThroughEveryScheme) {
   const std::vector<Dfg> blocks = random_blocks(7, 3, 12);
   const Explorer explorer(kLat);
   ExplorationRequest request;
+  request.graphs = blocks;
   request.constraints = cons(3, 2);
   request.num_instructions = 3;
   for (const std::string& scheme : {std::string("iterative"), std::string("optimal"),
                                     std::string("optimal-dp"), std::string("area")}) {
     request.scheme = scheme;
-    const ExplorationReport report = explorer.run_blocks(blocks, request);
+    const ExplorationReport report = explorer.run(request);
     EXPECT_GT(report.stats.cuts_considered, 0u) << scheme;
     EXPECT_GT(report.stats.passed_checks, 0u) << scheme;
     EXPECT_GT(report.identification_calls, 0u) << scheme;
@@ -342,7 +352,7 @@ TEST(ExplorationReport, JsonRoundTripsByteIdentically) {
   request.constraints.branch_and_bound = true;
   request.constraints.search_budget = 123456;
   request.num_instructions = 3;
-  request.build_afus = true;
+  request.emission.build_afus = true;
 
   const Explorer explorer(kLat);
   const ExplorationReport report = explorer.run(request);
@@ -404,28 +414,6 @@ TEST(ExplorationReport, JsonRoundTripsForEveryRegisteredSchemeWithNonDefaultFiel
 TEST(ExplorationReport, FromJsonRejectsMissingFields) {
   EXPECT_THROW(ExplorationReport::from_json(Json::parse("{}")), Error);
   EXPECT_THROW(ExplorationReport::from_json(Json::parse("{\"workload\": \"x\"}")), Error);
-}
-
-TEST(ExplorationReport, FromJsonAcceptsReportsSavedBeforeCrossWorkloadCounters) {
-  // Report files archived before the portfolio API have no
-  // cache.cross_workload_hits key; they must stay loadable (counter 0).
-  const Explorer explorer(kLat);
-  ExplorationRequest request;
-  request.graphs.push_back(chains_block(10.0, 2));
-  const Json serialized = explorer.run(request).to_json();
-
-  Json old_cache = Json::object();
-  for (const auto& [key, value] : serialized.at("cache").as_object()) {
-    if (key != "cross_workload_hits") old_cache.set(key, value);
-  }
-  Json old_report = Json::object();
-  for (const auto& [key, value] : serialized.as_object()) {
-    old_report.set(key, key == "cache" ? old_cache : value);
-  }
-
-  const ExplorationReport back = ExplorationReport::from_json(old_report);
-  EXPECT_EQ(back.cache.counters.cross_workload_hits, 0u);
-  EXPECT_FALSE(back.cuts.empty());
 }
 
 }  // namespace

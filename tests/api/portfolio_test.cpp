@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include "core/serialize.hpp"
+#include "support/cancellation.hpp"
+
 namespace isex {
 namespace {
 
@@ -101,37 +107,99 @@ TEST(Portfolio, SharedSetBeatsEverySingleApplicationSetOnThePortfolio) {
 
 // --- single-workload adapter equivalence -------------------------------------
 
-TEST(Portfolio, OneWorkloadPortfolioMatchesTheSingleWorkloadPipeline) {
-  const Explorer explorer;
-  ExplorationRequest single;
-  single.workload = "crc32";
-  single.scheme = "iterative";
-  single.constraints.max_inputs = 4;
-  single.constraints.max_outputs = 2;
-  single.num_instructions = 4;
-  const ExplorationReport expected = explorer.run(single);
-
-  MultiExplorationRequest batched;
-  batched.workloads = {{.workload = "crc32"}};
-  batched.scheme = "iterative";  // single-application scheme, one bundle: OK
-  batched.constraints = single.constraints;
-  batched.num_instructions = 4;
-  const PortfolioReport report = explorer.run_portfolio(batched);
-
-  ASSERT_EQ(report.workloads.size(), 1u);
-  EXPECT_EQ(report.workloads[0].base_cycles, expected.base_cycles);
-  EXPECT_EQ(report.workloads[0].saved_cycles, expected.total_merit);
-  EXPECT_EQ(report.workloads[0].estimated_speedup, expected.estimated_speedup);
-  EXPECT_EQ(report.weighted_speedup, expected.estimated_speedup);
-  ASSERT_EQ(report.cuts.size(), expected.cuts.size());
-  for (std::size_t i = 0; i < expected.cuts.size(); ++i) {
-    EXPECT_EQ(report.cuts[i].block_index, expected.cuts[i].block_index);
-    EXPECT_EQ(report.cuts[i].nodes, expected.cuts[i].nodes);
-    EXPECT_EQ(report.cuts[i].merit, expected.cuts[i].merit);
-    EXPECT_EQ(report.cuts[i].served.size(), 1u);
+/// A one-bundle portfolio and the single-workload pipeline run the same
+/// select step, so every report field they share must agree. A single run
+/// expands each selected instruction into one cut per serving site.
+void expect_one_bundle_equivalence(const ExplorationReport& expected,
+                                   const PortfolioReport& report, const std::string& what) {
+  ASSERT_EQ(report.workloads.size(), 1u) << what;
+  EXPECT_EQ(report.workloads[0].base_cycles, expected.base_cycles) << what;
+  EXPECT_EQ(report.workloads[0].saved_cycles, expected.total_merit) << what;
+  EXPECT_EQ(report.workloads[0].estimated_speedup, expected.estimated_speedup) << what;
+  EXPECT_EQ(report.weighted_speedup, expected.estimated_speedup) << what;
+  std::size_t site = 0;
+  for (const PortfolioCutReport& cut : report.cuts) {
+    for (const PortfolioCutReport::Instance& instance : cut.served) {
+      ASSERT_LT(site, expected.cuts.size()) << what;
+      EXPECT_EQ(instance.block_index, expected.cuts[site].block_index) << what;
+      EXPECT_EQ(instance.nodes, expected.cuts[site].nodes) << what;
+      EXPECT_EQ(cut.merit, expected.cuts[site].merit) << what;
+      ++site;
+    }
   }
-  EXPECT_EQ(report.identification_calls, expected.identification_calls);
-  EXPECT_EQ(report.stats.cuts_considered, expected.stats.cuts_considered);
+  EXPECT_EQ(site, expected.cuts.size()) << what;
+  EXPECT_EQ(report.identification_calls, expected.identification_calls) << what;
+  EXPECT_EQ(to_json(report.stats).dump(), to_json(expected.stats).dump()) << what;
+  EXPECT_EQ(report.num_threads, expected.num_threads) << what;
+  EXPECT_EQ(to_json(report.engine).dump(), to_json(expected.engine).dump()) << what;
+  EXPECT_EQ(report.partial, expected.partial) << what;
+  EXPECT_EQ(report.partial_reason, expected.partial_reason) << what;
+}
+
+TEST(Portfolio, OneWorkloadPortfolioMatchesTheSingleWorkloadPipeline) {
+  struct Variant {
+    const char* name;
+    int num_threads;
+    int subtree_split_depth;
+    bool expired;  // run under a deadline that expired before the run began
+  };
+  const Variant variants[] = {{"serial", 1, 0, false}, {"split", 2, 3, false},
+                              {"expired", 1, 0, true}};
+  // Every registered scheme: single-application schemes accept a portfolio
+  // of exactly one workload.
+  for (const std::string& scheme : SchemeRegistry::global().names()) {
+    for (const char* workload : {"crc32", "fir"}) {
+      for (const Variant& v : variants) {
+        const std::string what = scheme + "/" + workload + "/" + v.name;
+        ExplorationRequest single;
+        single.workload = workload;
+        single.scheme = scheme;
+        single.constraints.max_inputs = 4;
+        single.constraints.max_outputs = 2;
+        if (scheme.starts_with("optimal")) {
+          // The multiple-cut search is intractable unbounded; bound it as
+          // the fig11 sweep does.
+          single.constraints.branch_and_bound = true;
+          single.constraints.search_budget = 200000;
+        }
+        single.num_instructions = 4;
+        single.num_threads = v.num_threads;
+        single.subtree_split_depth = v.subtree_split_depth;
+
+        MultiExplorationRequest batched;
+        batched.workloads = {{.workload = workload}};
+        batched.scheme = scheme;
+        batched.constraints = single.constraints;
+        batched.num_instructions = single.num_instructions;
+        batched.max_area_macs = single.area.max_area_macs;
+        batched.area_grid_macs = single.area.area_grid_macs;
+        batched.num_threads = v.num_threads;
+        batched.subtree_split_depth = v.subtree_split_depth;
+
+        CancelToken single_token;
+        CancelToken batched_token;
+        RunHooks single_hooks;
+        RunHooks batched_hooks;
+        if (v.expired) {
+          single_token.arm_deadline_ms(1);
+          batched_token.arm_deadline_ms(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          single_hooks.cancel = &single_token;
+          batched_hooks.cancel = &batched_token;
+        }
+        // Fresh explorers: both runs search cold, so the engine counters of
+        // the split variant are comparable.
+        const ExplorationReport expected = Explorer().run(single, single_hooks);
+        const PortfolioReport report = Explorer().run_portfolio(batched, batched_hooks);
+        expect_one_bundle_equivalence(expected, report, what);
+        EXPECT_EQ(report.partial, v.expired) << what;
+        EXPECT_EQ(report.engine.subtree_split_depth, v.subtree_split_depth) << what;
+        if (v.subtree_split_depth > 0 && scheme == "iterative") {
+          EXPECT_GT(report.engine.split_searches, 0u) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(Portfolio, JointIterativeThroughTheSingleWorkloadPipeline) {

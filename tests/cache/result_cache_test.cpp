@@ -316,18 +316,19 @@ TEST(ExplorerCache, WarmRunsAreByteIdenticalToCacheDisabledRunsForEveryScheme) {
   const Explorer explorer(kLat);
   for (const std::string& scheme : kAllSchemes) {
     ExplorationRequest request;
+    request.graphs = blocks;
     request.scheme = scheme;
     request.constraints = cons(3, 2);
     request.num_instructions = 4;
 
     request.use_cache = false;
-    const ExplorationReport disabled = explorer.run_blocks(blocks, request);
+    const ExplorationReport disabled = explorer.run(request);
     EXPECT_FALSE(disabled.cache.enabled) << scheme;
     EXPECT_EQ(disabled.cache.counters.hits + disabled.cache.counters.misses, 0u) << scheme;
 
     request.use_cache = true;
-    const ExplorationReport cold = explorer.run_blocks(blocks, request);
-    const ExplorationReport warm = explorer.run_blocks(blocks, request);
+    const ExplorationReport cold = explorer.run(request);
+    const ExplorationReport warm = explorer.run(request);
 
     expect_identical(cold.selection, disabled.selection, scheme + " cold");
     expect_identical(warm.selection, disabled.selection, scheme + " warm");
@@ -341,13 +342,14 @@ TEST(ExplorerCache, MemoizedSchemesReportHitsOnTheWarmRun) {
   for (const std::string& scheme : kMemoizedSchemes) {
     const Explorer explorer(kLat);  // fresh cache per scheme
     ExplorationRequest request;
+    request.graphs = blocks;
     request.scheme = scheme;
     request.constraints = cons(3, 2);
     request.num_instructions = 3;
-    const ExplorationReport cold = explorer.run_blocks(blocks, request);
+    const ExplorationReport cold = explorer.run(request);
     EXPECT_EQ(cold.cache.counters.hits, 0u) << scheme;
     EXPECT_GT(cold.cache.counters.misses, 0u) << scheme;
-    const ExplorationReport warm = explorer.run_blocks(blocks, request);
+    const ExplorationReport warm = explorer.run(request);
     EXPECT_GT(warm.cache.counters.hits, 0u) << scheme;
     EXPECT_EQ(warm.cache.counters.misses, 0u) << scheme;
   }
@@ -413,7 +415,7 @@ TEST(ExplorerCache, RewriteBypassesTheExtractionCacheButKeepsPristineEntries) {
 
   // The rewrite works on its own fresh instance: it must neither consume
   // nor feed the extraction cache.
-  request.rewrite = true;
+  request.emission.verify_rewrites = true;
   const ExplorationReport rewritten = explorer.run(request);
   EXPECT_TRUE(rewritten.validation.bit_exact);
   EXPECT_EQ(rewritten.cache.counters.dfg_hits, 0u);
@@ -421,7 +423,7 @@ TEST(ExplorerCache, RewriteBypassesTheExtractionCacheButKeepsPristineEntries) {
 
   // The pristine entry stored by the first run is still valid for by-name
   // requests (each builds a fresh pristine instance) and survives.
-  request.rewrite = false;
+  request.emission.verify_rewrites = false;
   const ExplorationReport after = explorer.run(request);
   EXPECT_EQ(after.cache.counters.dfg_hits, 1u);
   EXPECT_EQ(after.cache.counters.dfg_misses, 0u);
@@ -459,13 +461,13 @@ TEST(ExplorerCache, PostRewriteInstanceNeverPoisonsTheExtractionCache) {
   request.num_instructions = 2;
 
   Workload w = find_workload("crc32");
-  request.rewrite = true;
+  request.emission.verify_rewrites = true;
   const ExplorationReport rewritten = explorer.run(w, request);
   ASSERT_TRUE(rewritten.validation.bit_exact);
   EXPECT_TRUE(w.mutated());
 
   // The mutated instance bypasses the extraction cache entirely.
-  request.rewrite = false;
+  request.emission.verify_rewrites = false;
   const ExplorationReport tainted = explorer.run(w, request);
   EXPECT_EQ(tainted.cache.counters.dfg_hits, 0u);
   EXPECT_EQ(tainted.cache.counters.dfg_misses, 0u);
@@ -506,11 +508,12 @@ TEST(ExplorerCache, ReportRoundTripsCacheCountersThroughJson) {
   const std::vector<Dfg> blocks = random_blocks(37, 2, 10);
   const Explorer explorer(kLat);
   ExplorationRequest request;
+  request.graphs = blocks;
   request.scheme = "iterative";
   request.constraints = cons(3, 2);
   request.num_instructions = 2;
-  explorer.run_blocks(blocks, request);
-  const ExplorationReport warm = explorer.run_blocks(blocks, request);
+  explorer.run(request);
+  const ExplorationReport warm = explorer.run(request);
   ASSERT_GT(warm.cache.counters.hits, 0u);
 
   const std::string text = warm.to_json_string();

@@ -8,10 +8,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/reference_search.hpp"
 #include "core/search_tables.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
+#include "reference_search.hpp"
 #include "support/parallel.hpp"
 
 namespace isex {

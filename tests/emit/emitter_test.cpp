@@ -1,6 +1,5 @@
 // The pluggable emission backend: registry behaviour, option validation
-// (contradictory/no-op combinations fault with structured errors — the old
-// boolean API ignored them silently), the legacy-field adapter, artifact
+// (contradictory/no-op combinations fault with structured errors), artifact
 // generation for single and portfolio runs, attribution in the manifest,
 // rewrite-verify invocation-count checking, disk writing and the report JSON
 // round-trip of the emission section.
@@ -10,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "afu/verilog.hpp"
 #include "api/explorer.hpp"
 #include "emit/verify.hpp"
 #include "support/hash.hpp"
@@ -97,22 +97,22 @@ TEST(EmissionOptions, GraphOnlyRequestRejectsModuleTargets) {
 }
 
 TEST(EmissionOptions, LegacyEmitVerilogWithoutModuleNoLongerSilentlyNoOps) {
-  // Regression for the old-field adapter: `emit_verilog = true` on a
-  // graph-only request used to do nothing at all; it now faults with the
-  // same structured error as the new API.
+  // Regression for the retired `emit_verilog`/`build_afus`/`rewrite`
+  // booleans, which did nothing at all on a graph-only request: each of
+  // their `emission` replacements faults with a structured error instead.
   const Explorer explorer(kLat);
   ExplorationRequest request;
   request.graphs.push_back(tiny_graph());
   request.num_instructions = 1;
-  request.emit_verilog = true;
+  request.emission.targets = {"verilog"};
   EXPECT_THROW(explorer.run(request), EmissionOptionsError);
 
-  request.emit_verilog = false;
-  request.build_afus = true;
+  request.emission.targets.clear();
+  request.emission.build_afus = true;
   EXPECT_THROW(explorer.run(request), EmissionOptionsError);
 
-  request.build_afus = false;
-  request.rewrite = true;
+  request.emission.build_afus = false;
+  request.emission.verify_rewrites = true;
   EXPECT_THROW(explorer.run(request), EmissionOptionsError);
 }
 
@@ -154,73 +154,36 @@ TEST(EmissionOptions, GraphOnlyRequestsCanStillEmitGraphArtifacts) {
   EXPECT_EQ(report.emission.afu_instantiations[0].count, 1);
 }
 
-// --- legacy adapter ----------------------------------------------------------
-
-TEST(EmissionAdapter, LegacyBooleansMatchTheNewOptionsByteForByte) {
-  ExplorationRequest legacy;
-  legacy.workload = "gsm";
-  legacy.scheme = "iterative";
-  legacy.constraints = cons(4, 2);
-  legacy.num_instructions = 2;
-  legacy.rewrite = true;
-  legacy.emit_verilog = true;
-
-  ExplorationRequest modern = legacy;
-  modern.rewrite = false;
-  modern.emit_verilog = false;
-  modern.emission.targets = {"verilog"};
-  modern.emission.verify_rewrites = true;
-
-  const Explorer explorer(kLat);
-  const ExplorationReport a = explorer.run(legacy);
-  const ExplorationReport b = explorer.run(modern);
-
-  ASSERT_EQ(a.verilog.size(), b.verilog.size());
-  for (std::size_t i = 0; i < a.verilog.size(); ++i) {
-    EXPECT_EQ(a.verilog[i], b.verilog[i]) << i;
-  }
-  ASSERT_EQ(a.afus.size(), b.afus.size());
-  for (std::size_t i = 0; i < a.afus.size(); ++i) {
-    EXPECT_EQ(a.afus[i].name, b.afus[i].name);
-    EXPECT_EQ(a.afus[i].area_macs, b.afus[i].area_macs);
-  }
-  EXPECT_TRUE(a.validation.bit_exact);
-  EXPECT_TRUE(a.validation.counts_match);
-  EXPECT_EQ(a.validation.cycles_after, b.validation.cycles_after);
-  EXPECT_EQ(a.afu_area_macs, b.afu_area_macs);
-  // The adapter routes the legacy booleans through the same emitters, so the
-  // artifact hashes agree too.
-  ASSERT_EQ(a.emission.artifacts.size(), b.emission.artifacts.size());
-  for (std::size_t i = 0; i < a.emission.artifacts.size(); ++i) {
-    EXPECT_EQ(a.emission.artifacts[i].hash, b.emission.artifacts[i].hash);
-  }
-}
-
 // --- single-workload emission ------------------------------------------------
 
-TEST(Emission, VerilogArtifactsMatchTheLegacyReportField) {
+TEST(Emission, VerilogArtifactsMatchADirectRenderOfEachAfu) {
   ExplorationRequest request;
-  request.workload = "crc32";
   request.scheme = "iterative";
   request.constraints = cons(4, 2);
   request.constraints.branch_and_bound = true;
   request.constraints.prune_permanent_inputs = true;
   request.num_instructions = 2;
   request.emission.targets = {"verilog", "c-intrinsics", "dot", "manifest"};
+  request.emission.verify_rewrites = true;
 
   const Explorer explorer(kLat);
-  const ExplorationReport report = explorer.run(request);
+  Workload w = find_workload("crc32");
+  const ExplorationReport report = explorer.run(w, request);
   ASSERT_FALSE(report.cuts.empty());
-  ASSERT_EQ(report.verilog.size(), report.afus.size());
   ASSERT_EQ(report.afus.size(), report.cuts.size());
+  ASSERT_EQ(w.module().num_custom_ops(), report.afus.size());
 
-  // One per-instruction module artifact, byte-identical to report.verilog.
+  // One per-instruction module artifact, byte-identical to rendering the
+  // custom op the verifying rewrite registered for that instruction.
   for (std::size_t i = 0; i < report.afus.size(); ++i) {
+    const CustomOp& op = w.module().custom_op(static_cast<int>(i));
+    ASSERT_EQ(op.name, report.afus[i].name);
+    const std::string verilog = emit_verilog(w.module(), op);
     const ArtifactReport* artifact =
         find_artifact(report.emission, "afu/" + report.afus[i].name + ".v");
     ASSERT_NE(artifact, nullptr) << report.afus[i].name;
-    EXPECT_EQ(artifact->bytes, report.verilog[i].size());
-    EXPECT_EQ(artifact->hash, artifact_hash_hex(hash_bytes(report.verilog[i])));
+    EXPECT_EQ(artifact->bytes, verilog.size());
+    EXPECT_EQ(artifact->hash, artifact_hash_hex(hash_bytes(verilog)));
   }
   // Wrapper, header, manifest all present; the manifest is valid JSON naming
   // every other artifact.
@@ -496,43 +459,6 @@ TEST(EmissionReportJson, RoundTripsByteIdenticallyInBothReportTypes) {
     EXPECT_EQ(pback.workloads[i].validation.custom_invocations,
               portfolio.workloads[i].validation.custom_invocations);
   }
-}
-
-TEST(EmissionReportJson, ReportsSerializedBeforeTheEmissionBackendStayLoadable) {
-  // Forward compatibility with archived report files: strip the new emission
-  // section and the new validation/timings fields, then parse.
-  ExplorationRequest request;
-  request.workload = "crc32";
-  request.scheme = "iterative";
-  request.num_instructions = 1;
-  const Explorer explorer(kLat);
-  const Json full = explorer.run(request).to_json();
-
-  Json stripped = Json::object();
-  for (const auto& [key, value] : full.as_object()) {
-    if (key == "emission") continue;
-    if (key == "validation") {
-      Json v = Json::object();
-      for (const auto& [vk, vv] : value.as_object()) {
-        if (vk != "counts_match" && vk != "custom_invocations") v.set(vk, vv);
-      }
-      stripped.set(key, std::move(v));
-      continue;
-    }
-    if (key == "timings") {
-      Json t = Json::object();
-      for (const auto& [tk, tv] : value.as_object()) {
-        if (tk != "emit_ms") t.set(tk, tv);
-      }
-      stripped.set(key, std::move(t));
-      continue;
-    }
-    stripped.set(key, value);
-  }
-  const ExplorationReport back = ExplorationReport::from_json(stripped);
-  EXPECT_EQ(back.workload, "crc32");
-  EXPECT_FALSE(back.validation.counts_match);
-  EXPECT_TRUE(back.emission.targets.empty());
 }
 
 // --- rewrite_and_verify unit ------------------------------------------------

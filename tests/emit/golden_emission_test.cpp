@@ -7,6 +7,7 @@
 // is what makes the CI diff against these files meaningful.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -20,17 +21,32 @@
 namespace isex {
 namespace {
 
-std::string read_golden(const std::string& name) {
-  const std::string path = std::string(ISEX_SOURCE_DIR) + "/tests/golden/" + name;
+namespace fs = std::filesystem;
+
+std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  EXPECT_TRUE(in.good()) << "missing file " << path;
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
 }
 
-const std::string* artifact_content(const ExplorationReport& report, std::size_t index) {
-  return index < report.verilog.size() ? &report.verilog[index] : nullptr;
+std::string read_golden(const std::string& name) {
+  return read_file(fs::path(ISEX_SOURCE_DIR) / "tests" / "golden" / name);
+}
+
+/// Runs `request` with its artifact tree written to a fresh temp directory
+/// and returns the first instruction's Verilog module as written to disk.
+std::string emitted_isex0(const Explorer& explorer, ExplorationRequest request,
+                          const std::string& tag, ExplorationReport* report = nullptr) {
+  const fs::path dir = fs::path(::testing::TempDir()) / ("isex_golden_" + tag);
+  fs::remove_all(dir);
+  request.emission.out_dir = dir.string();
+  ExplorationReport run = explorer.run(request);
+  const std::string verilog = read_file(dir / "afu" / "isex0.v");
+  fs::remove_all(dir);
+  if (report != nullptr) *report = std::move(run);
+  return verilog;
 }
 
 ExplorationRequest golden_request(const std::string& workload) {
@@ -57,11 +73,11 @@ TEST_P(GoldenEmission, VerilogAndIntrinsicsAreByteIdenticalToTheGoldenFiles) {
 
   const Explorer explorer;
   ExplorationRequest request = golden_request(workload);
-  const ExplorationReport serial = explorer.run(request);
+  ExplorationReport serial;
+  EXPECT_EQ(emitted_isex0(explorer, request, workload + "_serial", &serial), golden_v)
+      << workload;
   ASSERT_EQ(serial.afus.size(), 1u);
   EXPECT_EQ(serial.afus[0].name, "isex0");
-  ASSERT_NE(artifact_content(serial, 0), nullptr);
-  EXPECT_EQ(*artifact_content(serial, 0), golden_v) << workload;
 
   const auto header_of = [&](const ExplorationReport& report) -> std::string {
     for (std::size_t i = 0; i < report.emission.artifacts.size(); ++i) {
@@ -77,13 +93,13 @@ TEST_P(GoldenEmission, VerilogAndIntrinsicsAreByteIdenticalToTheGoldenFiles) {
 
   // Thread count and cache mode must not move a single byte.
   request.num_threads = 4;
-  const ExplorationReport parallel = explorer.run(request);
-  EXPECT_EQ(*artifact_content(parallel, 0), golden_v);
+  ExplorationReport parallel;
+  EXPECT_EQ(emitted_isex0(explorer, request, workload + "_parallel", &parallel), golden_v);
   EXPECT_EQ(header_of(parallel), header_of(serial));
   request.num_threads = 1;
   request.use_cache = false;
-  const ExplorationReport uncached = explorer.run(request);
-  EXPECT_EQ(*artifact_content(uncached, 0), golden_v);
+  ExplorationReport uncached;
+  EXPECT_EQ(emitted_isex0(explorer, request, workload + "_uncached", &uncached), golden_v);
   EXPECT_EQ(header_of(uncached), header_of(serial));
 
   // The one-bundle portfolio path (what `portfolio_explore <workload>

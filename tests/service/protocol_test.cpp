@@ -115,7 +115,55 @@ TEST(ServiceProtocol, StrictParsingRejectsBadRequests) {
   }());
   EXPECT_THROW(exploration_request_from_json(bad_ports), ServiceError);
 
-  // Graph payloads and emission options are explicitly not servable.
+  // Integers that would narrow silently, and knobs above the ceilings on
+  // the work one frame may size.
+  const Json sample = to_json(sample_request());
+  const auto with = [&](const char* key, const Json& value) {
+    Json out = Json::object();
+    for (const auto& [k, v] : sample.as_object()) out.set(k, k == key ? value : v);
+    return out;
+  };
+  const auto rejects = [&](const char* key, const Json& value) {
+    try {
+      exploration_request_from_json(with(key, value));
+      ADD_FAILURE() << key << " = " << value.dump() << " accepted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), std::string(kErrBadRequest)) << key << ": " << e.what();
+    }
+  };
+  rejects("num_instructions", Json(std::int64_t{4294967297}));
+  rejects("num_instructions", Json(kMaxRequestInstructions + 1));
+  rejects("num_threads", Json(std::int64_t{4294967297}));
+  rejects("num_threads", Json(kMaxRequestThreads + 1));
+  rejects("subtree_split_depth", Json(std::int64_t{-4294967295}));
+  rejects("subtree_split_depth", Json(kMaxRequestSplitDepth + 1));
+  rejects("constraints", Json::parse(R"({"max_inputs": 4294967297})"));
+  rejects("constraints", Json::parse(R"({"max_outputs": -4294967295})"));
+  rejects("area", Json::parse(R"({"num_instructions": 4294967297})"));
+  rejects("area", Json::parse(R"({"area_grid_macs": 0})"));
+  rejects("area", Json::parse(R"({"area_grid_macs": -0.5})"));
+  rejects("area", Json::parse(R"({"max_area_macs": -1.0})"));
+  rejects("area", Json::parse(R"({"max_area_macs": 1e9, "area_grid_macs": 0.002})"));
+  // The ceilings themselves are accepted.
+  EXPECT_NO_THROW(exploration_request_from_json(with("num_instructions", kMaxRequestInstructions)));
+  EXPECT_NO_THROW(exploration_request_from_json(with("num_threads", kMaxRequestThreads)));
+  EXPECT_NO_THROW(
+      exploration_request_from_json(with("subtree_split_depth", kMaxRequestSplitDepth)));
+  // The portfolio body shares the bounds, including the knapsack grid.
+  const auto portfolio_rejects = [](const char* key, Json value) {
+    Json j = Json::object();
+    j.set("workloads", Json::parse(R"([{"workload": "fir"}])"));
+    j.set(key, std::move(value));
+    EXPECT_THROW(multi_exploration_request_from_json(j), ServiceError) << key;
+  };
+  portfolio_rejects("num_instructions", Json(std::int64_t{4294967297}));
+  portfolio_rejects("num_threads", Json(kMaxRequestThreads + 1));
+  portfolio_rejects("subtree_split_depth", Json(kMaxRequestSplitDepth + 1));
+  portfolio_rejects("area_grid_macs", Json(0.0));
+  portfolio_rejects("max_area_macs", Json(1e9));
+
+  // Graph payloads and emission options are explicitly not servable; the
+  // retired emission booleans are unknown keys.
   Json graphs = to_json(sample_request());
   graphs.set("graphs", Json::array());
   EXPECT_THROW(exploration_request_from_json(graphs), ServiceError);
@@ -134,17 +182,19 @@ TEST(ServiceProtocol, FrameParsingMapsEveryFailureToItsCode) {
   const std::string untagged = expect_request_error(
       R"({"id": "x", "type": "ping"})", kErrBadFrame);
   EXPECT_NE(untagged.find("isex"), std::string::npos);
-  expect_request_error(R"({"isex": 4, "id": "x", "type": "ping"})",
-                       kErrUnsupportedVersion);
-  expect_request_error(R"({"isex": 0, "id": "x", "type": "ping"})",
-                       kErrUnsupportedVersion);
+  for (const char* line : {R"({"isex": 1, "id": "x", "type": "ping"})",
+                           R"({"isex": 2, "id": "x", "type": "ping"})",
+                           R"({"isex": 4, "id": "x", "type": "ping"})",
+                           R"({"isex": 0, "id": "x", "type": "ping"})"}) {
+    expect_request_error(line, kErrUnsupportedVersion);
+  }
   // Schema violations are bad-request, not bad-frame.
-  expect_request_error(R"({"isex": 1, "id": "x", "type": "frobnicate"})",
+  expect_request_error(R"({"isex": 3, "id": "x", "type": "frobnicate"})",
                        kErrBadRequest);
-  expect_request_error(R"({"isex": 1, "id": "x", "type": "explore"})",
+  expect_request_error(R"({"isex": 3, "id": "x", "type": "explore"})",
                        kErrBadRequest);  // missing request body
   expect_request_error(
-      R"({"isex": 1, "id": "x", "type": "ping", "request": {}})",
+      R"({"isex": 3, "id": "x", "type": "ping", "request": {}})",
       kErrBadRequest);  // ping carries no body
 }
 
@@ -158,7 +208,7 @@ TEST(ServiceProtocol, CorrelationIdSurvivesParseFailures) {
 
   id = "unset";
   expect_request_error(
-      R"({"isex": 1, "id": "r43", "type": "explore", "request": {"workload": "nope"}})",
+      R"({"isex": 3, "id": "r43", "type": "explore", "request": {"workload": "nope"}})",
       kErrBadRequest, &id);
   EXPECT_EQ(id, "r43");
 
@@ -210,20 +260,22 @@ TEST(ServiceProtocol, EventFrameRoundTripsThroughTheWire) {
                ServiceError);  // untagged
   EXPECT_THROW(parse_event_frame(R"({"isex": 4, "id": "x", "event": "p", "data": {}})"),
                ServiceError);  // wrong version
-  EXPECT_THROW(parse_event_frame(R"({"isex": 1, "id": "x"})"), ServiceError);
+  EXPECT_THROW(parse_event_frame(R"({"isex": 1, "id": "x", "event": "p", "data": {}})"),
+               ServiceError);  // retired version
+  EXPECT_THROW(parse_event_frame(R"({"isex": 3, "id": "x"})"), ServiceError);
 }
 
 TEST(ServiceProtocol, FingerprintCanonicalizesTheWorkNotTheWireBytes) {
   // Same computation spelled three ways: explicit defaults, omitted
   // defaults, shuffled key order — one fingerprint.
   const std::string spellings[] = {
-      R"({"isex": 1, "id": "a", "type": "explore",
+      R"({"isex": 3, "id": "a", "type": "explore",
           "request": {"workload": "fir", "scheme": "iterative",
                       "constraints": {"max_inputs": 4, "max_outputs": 2}}})",
-      R"({"isex": 1, "id": "b", "type": "explore",
+      R"({"isex": 3, "id": "b", "type": "explore",
           "request": {"constraints": {"max_outputs": 2, "max_inputs": 4},
                       "workload": "fir"}})",
-      R"({"isex": 1, "type": "explore",
+      R"({"isex": 3, "type": "explore",
           "request": {"workload": "fir",
                       "constraints": {"max_inputs": 4, "max_outputs": 2},
                       "num_threads": 1}})",

@@ -89,14 +89,14 @@ TEST(ServiceRobustness, MalformedFramesGetStructuredErrorsAndTheConnectionLivesO
       {"[1, 2, 3]", "bad-frame", ""},
       {R"({"id": "u1", "type": "ping"})", "bad-frame", "u1"},  // no version tag
       {R"({"isex": 99, "id": "u2", "type": "ping"})", "unsupported-version", "u2"},
-      {R"({"isex": 1, "id": "u3", "type": "frobnicate"})", "bad-request", "u3"},
-      {R"({"isex": 1, "id": "u4", "type": "explore"})", "bad-request", "u4"},
-      {R"({"isex": 1, "id": "u5", "type": "explore", "request": {"workload": "no-such-kernel"}})",
+      {R"({"isex": 3, "id": "u3", "type": "frobnicate"})", "bad-request", "u3"},
+      {R"({"isex": 3, "id": "u4", "type": "explore"})", "bad-request", "u4"},
+      {R"({"isex": 3, "id": "u5", "type": "explore", "request": {"workload": "no-such-kernel"}})",
        "bad-request", "u5"},
-      {R"({"isex": 1, "id": "u6", "type": "explore", "request": {"workload": "fir", "num_instrctions": 3}})",
+      {R"({"isex": 3, "id": "u6", "type": "explore", "request": {"workload": "fir", "num_instrctions": 3}})",
        "bad-request", "u6"},
-      {R"({"isex": 1, "id": "u7", "type": "ping", "request": {}})", "bad-request", "u7"},
-      {R"({"isex": 1, "id": "u8", "type": "explore", "request": {"workload": "fir", "emission": {}}})",
+      {R"({"isex": 3, "id": "u7", "type": "ping", "request": {}})", "bad-request", "u7"},
+      {R"({"isex": 3, "id": "u8", "type": "explore", "request": {"workload": "fir", "emission": {}}})",
        "bad-request", "u8"},
   };
   for (const Case& c : cases) {
@@ -150,7 +150,7 @@ TEST(ServiceRobustness, MidStreamDisconnectsNeverKillTheDaemon) {
     // A partial frame (no terminating newline) followed by EOF is a clean
     // detach, not a parse attempt.
     FdHandle fd = connect_unix(runner.socket());
-    ASSERT_TRUE(write_all(fd.get(), R"({"isex": 1, "type": "pi)"));
+    ASSERT_TRUE(write_all(fd.get(), R"({"isex": 3, "type": "pi)"));
   }
 
   {

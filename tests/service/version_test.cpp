@@ -1,14 +1,13 @@
-// Protocol-version negotiation introduced with v2 (ir_text payloads): v1
-// frames keep working and are answered in the v1 dialect, ir_text demands a
-// v2 tag, out-of-range versions are structured rejections, and the absent-
-// field canonicalization keeps v1/v2 spellings of the same registry request
-// dedup-equal. The daemon half runs against a real socket.
+// Protocol-version enforcement and the in-band ir_text payload: the service
+// speaks version 3 only, so v1/v2 frames (and any other tag) are structured
+// `unsupported-version` rejections, from the parser and through the daemon;
+// ir_text requests serve graph payloads end to end while host paths stay
+// out. The daemon half runs against a real socket.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "api/explorer.hpp"
 #include "service/client.hpp"
@@ -36,39 +35,22 @@ TEST(ServiceVersion, RequestFramesRoundTripTheirVersionTag) {
   RequestFrame frame;
   frame.id = "r1";
   frame.type = "explore";
-  frame.version = 1;
   frame.single = crc_request();
   const std::string line = dump_request_frame(frame);
-  EXPECT_NE(line.find("\"isex\":1"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"isex\":3"), std::string::npos) << line;
 
   const RequestFrame parsed = parse_request_frame(line);
-  EXPECT_EQ(parsed.version, 1);
+  EXPECT_EQ(parsed.id, "r1");
   EXPECT_EQ(parsed.single->workload, "crc32");
-}
-
-TEST(ServiceVersion, IrTextNeedsAVersionTwoFrame) {
-  RequestFrame frame;
-  frame.type = "explore";
-  frame.version = 1;
-  frame.single = ExplorationRequest{};
-  frame.single->ir_text = dump_workload(find_workload("crc32"));
-  try {
-    parse_request_frame(dump_request_frame(frame));
-    FAIL() << "v1 frame with ir_text unexpectedly parsed";
-  } catch (const ServiceError& e) {
-    EXPECT_EQ(e.code(), kErrBadRequest) << e.what();
-  }
-  // The identical body under a v2 tag is fine.
-  frame.version = 2;
-  const RequestFrame parsed = parse_request_frame(dump_request_frame(frame));
-  EXPECT_EQ(parsed.version, 2);
-  EXPECT_FALSE(parsed.single->ir_text.empty());
 }
 
 TEST(ServiceVersion, OutOfRangeVersionsAreStructuredRejections) {
   for (const char* line :
-       {R"({"isex": 4, "id": "x", "type": "ping"})",
-        R"({"isex": 0, "id": "x", "type": "ping"})"}) {
+       {R"({"isex": 1, "id": "x", "type": "ping"})",
+        R"({"isex": 2, "id": "x", "type": "ping"})",
+        R"({"isex": 4, "id": "x", "type": "ping"})",
+        R"({"isex": 0, "id": "x", "type": "ping"})",
+        R"({"isex": 4294967299, "id": "x", "type": "ping"})"}) {
     try {
       parse_request_frame(line);
       FAIL() << line << " unexpectedly parsed";
@@ -79,29 +61,18 @@ TEST(ServiceVersion, OutOfRangeVersionsAreStructuredRejections) {
 }
 
 TEST(ServiceVersion, RegistryRequestsFingerprintIdenticallyAcrossVersions) {
-  // A v1 client and a v2 client asking for the same registry exploration
-  // must dedup together: the version tag and the absent ir_text field are
-  // both outside the work fingerprint.
-  RequestFrame v1;
-  v1.type = "explore";
-  v1.version = 1;
-  v1.single = crc_request();
-  RequestFrame v2 = v1;
-  v2.version = 2;
-  EXPECT_EQ(request_fingerprint(v1), request_fingerprint(v2));
+  // The version tag is outside the work fingerprint: a frame built in code
+  // and the same frame read back off the wire dedup together.
+  RequestFrame frame;
+  frame.type = "explore";
+  frame.single = crc_request();
+  const RequestFrame wire = parse_request_frame(dump_request_frame(frame));
+  EXPECT_EQ(request_fingerprint(wire), request_fingerprint(frame));
   // But different work — text payload vs registry name — must not collide.
-  RequestFrame text = v2;
+  RequestFrame text = frame;
   text.single->workload.clear();
   text.single->ir_text = dump_workload(find_workload("crc32"));
-  EXPECT_NE(request_fingerprint(text), request_fingerprint(v2));
-}
-
-TEST(ServiceVersion, EventFramesCarryTheRequestedDialect) {
-  const std::string v1_line = dump_event_frame("id", "pong", Json::object(), 1);
-  EXPECT_NE(v1_line.find("\"isex\":1"), std::string::npos) << v1_line;
-  EXPECT_NO_THROW(parse_event_frame(v1_line));
-  const std::string v2_line = dump_event_frame("id", "pong", Json::object(), 2);
-  EXPECT_NE(v2_line.find("\"isex\":2"), std::string::npos) << v2_line;
+  EXPECT_NE(request_fingerprint(text), request_fingerprint(frame));
 }
 
 // --- daemon level -----------------------------------------------------------
@@ -136,78 +107,42 @@ DaemonConfig base_config(const std::string& tag) {
   return config;
 }
 
-/// Reads raw event lines for one correlation id until the terminal frame,
-/// returning every frame's raw `isex` tag (the parsed surface hides it).
-std::vector<int> raw_event_versions(FrameReader& reader, const std::string& id,
-                                    std::string* terminal) {
-  std::vector<int> versions;
-  while (true) {
-    const std::optional<std::string> line = reader.read_frame();
-    if (!line.has_value()) ADD_FAILURE() << "stream ended before the terminal event";
-    if (!line.has_value()) return versions;
-    const Json j = Json::parse(*line);
-    if (j.at("id").as_string() != id) continue;
-    versions.push_back(static_cast<int>(j.at("isex").as_int()));
-    const std::string event = j.at("event").as_string();
-    if (event == "report" || event == "error") {
-      if (terminal != nullptr) *terminal = event;
-      return versions;
-    }
-  }
-}
-
-TEST(ServiceVersionDaemon, VersionOneClientsGetVersionOneEvents) {
-  DaemonRunner runner(base_config("v1"));
-
-  RequestFrame frame;
-  frame.id = "legacy";
-  frame.type = "explore";
-  frame.version = 1;
-  frame.single = crc_request();
-
-  FdHandle fd = connect_unix(runner.socket());
-  ASSERT_TRUE(write_all(fd.get(), dump_request_frame(frame)));
-  FrameReader reader(fd.get(), 1 << 22);
-  std::string terminal;
-  const std::vector<int> versions = raw_event_versions(reader, "legacy", &terminal);
-  EXPECT_EQ(terminal, "report");
-  ASSERT_FALSE(versions.empty());
-  for (const int v : versions) EXPECT_EQ(v, 1);
-}
-
 TEST(ServiceVersionDaemon, UnsupportedVersionGetsAStructuredError) {
   DaemonRunner runner(base_config("v4"));
   FdHandle fd = connect_unix(runner.socket());
-  ASSERT_TRUE(write_all(fd.get(), R"({"isex": 4, "id": "future", "type": "ping"})"
-                                  "\n"));
   FrameReader reader(fd.get(), 1 << 22);
-  const std::optional<std::string> line = reader.read_frame();
-  ASSERT_TRUE(line.has_value());
-  const EventFrame event = parse_event_frame(*line);
-  EXPECT_EQ(event.id, "future");
-  EXPECT_EQ(event.event, "error");
-  EXPECT_EQ(event.data.at("code").as_string(), kErrUnsupportedVersion);
-}
-
-TEST(ServiceVersionDaemon, VersionOneIrTextIsABadRequest) {
-  DaemonRunner runner(base_config("v1ir"));
-  RequestFrame frame;
-  frame.id = "mix";
-  frame.type = "explore";
-  frame.version = 1;
-  frame.single = ExplorationRequest{};
-  frame.single->ir_text = dump_workload(find_workload("crc32"));
-
-  FdHandle fd = connect_unix(runner.socket());
-  ASSERT_TRUE(write_all(fd.get(), dump_request_frame(frame)));
-  FrameReader reader(fd.get(), 1 << 22);
-  const std::optional<std::string> line = reader.read_frame();
-  ASSERT_TRUE(line.has_value());
-  const EventFrame event = parse_event_frame(*line);
-  EXPECT_EQ(event.event, "error");
-  EXPECT_EQ(event.data.at("code").as_string(), kErrBadRequest);
-  // The rejection is rendered in the sender's dialect.
-  EXPECT_EQ(Json::parse(*line).at("isex").as_int(), 1);
+  // Retired dialects (a v1 registry request, a v2 ir_text request) and an
+  // unknown future version all get the same structured rejection, rendered
+  // in the one dialect the daemon speaks.
+  const auto tagged = [](RequestFrame frame, const std::string& id, int version) {
+    frame.id = id;
+    std::string line = dump_request_frame(frame);
+    const std::string tag = "\"isex\":" + std::to_string(kServiceProtocolVersion);
+    line.replace(line.find(tag), tag.size(), "\"isex\":" + std::to_string(version));
+    return line;
+  };
+  RequestFrame legacy;
+  legacy.type = "explore";
+  legacy.single = crc_request();
+  const std::string v1 = tagged(legacy, "v1", 1);
+  legacy.single->workload.clear();
+  legacy.single->ir_text = dump_workload(find_workload("crc32"));
+  const std::string v2 = tagged(legacy, "v2", 2);
+  const std::pair<std::string, std::string> frames[] = {
+      {"v1", v1},
+      {"v2", v2},
+      {"future", R"({"isex": 4, "id": "future", "type": "ping"})"
+                 "\n"}};
+  for (const auto& [id, frame] : frames) {
+    ASSERT_TRUE(write_all(fd.get(), frame));
+    const std::optional<std::string> line = reader.read_frame();
+    ASSERT_TRUE(line.has_value()) << id;
+    const EventFrame event = parse_event_frame(*line);
+    EXPECT_EQ(event.id, id);
+    EXPECT_EQ(event.event, "error") << id;
+    EXPECT_EQ(event.data.at("code").as_string(), kErrUnsupportedVersion) << id;
+    EXPECT_EQ(Json::parse(*line).at("isex").as_int(), kServiceProtocolVersion) << id;
+  }
 }
 
 TEST(ServiceVersionDaemon, IrTextRequestsServeGraphPayloadsEndToEnd) {
