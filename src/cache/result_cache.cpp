@@ -269,7 +269,10 @@ void ResultCache::merge_json(const Json& json) {
     key.fingerprint.exact = parse_hex64(e.at("exact").as_string());
     key.latency_sig = parse_hex64(e.at("latency").as_string());
     key.constraints = constraints_from_json(e.at("constraints"));
-    key.num_cuts = static_cast<int>(e.at("num_cuts").as_int());
+    const std::int64_t num_cuts = e.at("num_cuts").as_int();
+    ISEX_CHECK(num_cuts >= 0 && num_cuts <= kMaxCuts,
+               "cache entry num_cuts " + std::to_string(num_cuts) + " out of range");
+    key.num_cuts = static_cast<int>(num_cuts);
     MemoEntry entry;
     if (key.num_cuts == 0) {
       entry.single =

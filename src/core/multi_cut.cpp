@@ -10,8 +10,6 @@ namespace isex {
 
 namespace {
 
-constexpr int kMaxCuts = 8;  // quotient reachability packs into one uint64
-
 constexpr std::int8_t kUndecided = -2;
 constexpr std::int8_t kExcluded = -1;
 // labels 0..M-1 denote cut membership.

@@ -19,6 +19,10 @@
 
 namespace isex {
 
+/// Most cuts one multiple-cut search can place (its quotient reachability
+/// packs into one uint64).
+inline constexpr int kMaxCuts = 8;
+
 struct MultiCutResult {
   std::vector<BitVector> cuts;  // up to M cuts (empty ones trimmed), by merit desc
   double total_merit = 0.0;

@@ -91,9 +91,16 @@ Json to_json(const BitVector& v) {
 }
 
 BitVector bitvector_from_json(const Json& j) {
-  BitVector v(static_cast<std::size_t>(j.at("size").as_int()));
+  const std::int64_t size = j.at("size").as_int();
+  ISEX_CHECK(size >= 0 && size <= kMaxJsonBitVectorSize,
+             "bit vector size " + std::to_string(size) + " out of range");
+  BitVector v(static_cast<std::size_t>(size));
   for (const Json& bit : j.at("bits").as_array()) {
-    v.set(static_cast<std::size_t>(bit.as_int()));
+    const std::int64_t i = bit.as_int();
+    ISEX_CHECK(i >= 0 && i < size, "bit index " + std::to_string(i) +
+                                       " outside a bit vector of size " +
+                                       std::to_string(size));
+    v.set(static_cast<std::size_t>(i));
   }
   return v;
 }

@@ -74,8 +74,7 @@ class IsexDaemon::Connection : public EventSink {
 
 IsexDaemon::IsexDaemon(DaemonConfig config)
     : config_(std::move(config)),
-      store_(std::make_unique<ResultStore>(
-          ResultStoreConfig{config_.cache_file, config_.cache_config})),
+      store_(std::make_unique<ResultStore>(config_.cache_file)),
       listener_(std::make_unique<UnixListener>(config_.socket_path)),
       queue_(config_.max_queue) {}
 
@@ -163,17 +162,13 @@ void IsexDaemon::snapshot_store() {
 }
 
 void IsexDaemon::worker_loop() {
-  while (true) {
-    std::vector<ServiceJobPtr> batch = queue_.next_batch();
-    if (batch.empty()) return;  // closed
-    for (const ServiceJobPtr& job : batch) {
-      // Close the dedup window *before* the terminal goes out: a client
-      // that reads the report and immediately re-submits must get a fresh
-      // job, not an attach to one whose stream already ended.
-      std::pair<std::string, Json> terminal = run_job(job);
-      queue_.finish(job);
-      job->publish_terminal(terminal.first, terminal.second);
-    }
+  while (ServiceJobPtr job = queue_.next()) {
+    // Close the dedup window *before* the terminal goes out: a client that
+    // reads the report and immediately re-submits must get a fresh job, not
+    // an attach to one whose stream already ended.
+    std::pair<std::string, Json> terminal = run_job(job);
+    queue_.finish(job);
+    job->publish_terminal(terminal.first, terminal.second);
   }
 }
 
@@ -186,7 +181,7 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
     Explorer explorer(config_.latency, store_->cache(), config_.registry);
     // Per-request budget: every identification search of this job draws on
     // one gate, so the job's aggregate cuts_considered pins at
-    // min(demand, budget) no matter how the work is batched or threaded.
+    // min(demand, budget) no matter how the work is threaded.
     BudgetGate gate(frame.search_budget);
     RunHooks hooks;
     hooks.on_phase = [&job](const std::string& phase, const Json& data) {

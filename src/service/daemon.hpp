@@ -9,9 +9,9 @@
 //   * one reader thread per connection parses frames and submits them — so
 //     requests on one connection are admitted in order and may be
 //     pipelined;
-//   * `num_workers` worker threads call AdmissionQueue::next_batch() and run
-//     each job through a shared-cache Explorer, publishing phase events and
-//     one terminal report/error per job.
+//   * `num_workers` worker threads each take one job at a time from
+//     AdmissionQueue::next() and run it through a fresh Explorer over the
+//     shared cache, publishing phase events and one terminal report/error.
 //
 // Failure containment: a malformed frame produces one structured error
 // event (correlated by id when the frame carried one) and the connection
@@ -63,9 +63,8 @@ struct DaemonConfig {
   /// report, and the worker moves on. Protects the pool from pathological
   /// kernels that a client submitted without a deadline.
   std::uint64_t max_request_ms = 0;
-  /// Store persistence (empty = in-memory only) and cache sizing.
+  /// Store persistence (empty = in-memory only).
   std::string cache_file;
-  ResultCacheConfig cache_config;
   /// Accept-poll cadence; also how often stop requests and idle snapshots
   /// are noticed.
   int accept_timeout_ms = 200;

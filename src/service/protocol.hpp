@@ -24,6 +24,8 @@
 // one `report` or `error`:
 //   {"isex": 3, "id": "r1", "event": "accepted",   "data": {fingerprint,
 //        deduped, batched, batch_size, queue_depth}}
+//     (`batched` is always false and `batch_size` always 1: the daemon
+//     dispatches one job at a time; v3 keeps both keys for its clients)
 //   {"isex": 3, "id": "r1", "event": "extracted",  "data": {...}}
 //   {"isex": 3, "id": "r1", "event": "identified", "data": {...}}
 //   {"isex": 3, "id": "r1", "event": "selected",   "data": {...}}

@@ -9,30 +9,29 @@
 
 namespace isex {
 
-ResultStore::ResultStore(ResultStoreConfig config)
-    : config_(std::move(config)),
-      cache_(std::make_shared<ResultCache>(config_.cache_config)) {
-  if (!config_.snapshot_path.empty()) {
+ResultStore::ResultStore(std::string snapshot_path)
+    : snapshot_path_(std::move(snapshot_path)), cache_(std::make_shared<ResultCache>()) {
+  if (!snapshot_path_.empty()) {
     try {
-      warm_started_ = cache_->load_file(config_.snapshot_path);
+      warm_started_ = cache_->load_file(snapshot_path_);
     } catch (const std::exception& e) {
       // An existing-but-unloadable snapshot (torn write from a killed
       // process that bypassed save_file's atomic rename, version/algorithm
       // drift) must not wedge the daemon in a boot loop. Quarantine it so
       // the operator keeps the evidence, warn, and boot cold.
-      const std::string quarantine = config_.snapshot_path + ".corrupt";
+      const std::string quarantine = snapshot_path_ + ".corrupt";
       std::error_code ec;
-      std::filesystem::rename(config_.snapshot_path, quarantine, ec);
+      std::filesystem::rename(snapshot_path_, quarantine, ec);
       if (ec) {
         std::fprintf(stderr,
                      "isexd: warning: cache snapshot '%s' failed to load (%s) and could "
                      "not be quarantined (%s); starting cold\n",
-                     config_.snapshot_path.c_str(), e.what(), ec.message().c_str());
+                     snapshot_path_.c_str(), e.what(), ec.message().c_str());
       } else {
         std::fprintf(stderr,
                      "isexd: warning: cache snapshot '%s' failed to load (%s); "
                      "quarantined to '%s', starting cold\n",
-                     config_.snapshot_path.c_str(), e.what(), quarantine.c_str());
+                     snapshot_path_.c_str(), e.what(), quarantine.c_str());
       }
       quarantined_ = true;
       warm_started_ = false;
@@ -47,7 +46,7 @@ void ResultStore::note_activity() {
 }
 
 bool ResultStore::snapshot() {
-  if (config_.snapshot_path.empty()) return false;
+  if (snapshot_path_.empty()) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!dirty_) return false;
@@ -64,14 +63,14 @@ bool ResultStore::snapshot() {
     // in the constructor is the regression target.
     std::lock_guard<std::mutex> lock(mu_);
     dirty_ = true;  // nothing was persisted; a later snapshot must retry
-    std::ofstream torn(config_.snapshot_path, std::ios::trunc);
+    std::ofstream torn(snapshot_path_, std::ios::trunc);
     torn << "{\"isex_cache\":";  // truncated mid-document, unparseable
     torn.flush();
     throw Error("injected fault: snapshot-write (torn snapshot left at '" +
-                config_.snapshot_path + "')");
+                snapshot_path_ + "')");
   }
   try {
-    cache_->save_file(config_.snapshot_path);
+    cache_->save_file(snapshot_path_);
   } catch (...) {
     // Disk trouble: keep the dirty flag so the next idle tick retries
     // instead of silently dropping this interval's entries.

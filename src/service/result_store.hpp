@@ -20,24 +20,18 @@
 
 namespace isex {
 
-struct ResultStoreConfig {
-  /// Snapshot file for the identification memo. Empty = in-memory only (no
-  /// warm start, snapshot() is a no-op). Writes are atomic
-  /// (temp-file + rename), so a killed daemon never leaves a torn file.
-  std::string snapshot_path;
-  /// Sizing of the underlying ResultCache.
-  ResultCacheConfig cache_config;
-};
-
 class ResultStore {
  public:
   /// Builds the shared cache and, when `snapshot_path` names an existing
-  /// file, warm-starts the memo from it. A snapshot that exists but fails to
-  /// load (a torn write from a crashed process, version/algorithm drift) is
-  /// quarantined to `<snapshot_path>.corrupt` with a stderr warning and the
-  /// store boots cold — a bad snapshot must not wedge the daemon in a boot
-  /// loop, and the quarantined file keeps the evidence for the operator.
-  explicit ResultStore(ResultStoreConfig config = {});
+  /// file, warm-starts the memo from it. Empty `snapshot_path` = in-memory
+  /// only (no warm start, snapshot() is a no-op); snapshot writes are atomic
+  /// (temp-file + rename), so a killed daemon never leaves a torn file. A
+  /// snapshot that exists but fails to load (a torn write from a crashed
+  /// process, version/algorithm drift, out-of-range values) is quarantined
+  /// to `<snapshot_path>.corrupt` with a stderr warning and the store boots
+  /// cold — a bad snapshot must not wedge the daemon in a boot loop, and the
+  /// quarantined file keeps the evidence for the operator.
+  explicit ResultStore(std::string snapshot_path = {});
 
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
@@ -73,7 +67,7 @@ class ResultStore {
   Json status() const;
 
  private:
-  ResultStoreConfig config_;
+  const std::string snapshot_path_;
   std::shared_ptr<ResultCache> cache_;
   bool warm_started_ = false;
   bool quarantined_ = false;

@@ -17,9 +17,16 @@ std::string CancelToken::reason() const {
 
 void CancelToken::arm_deadline_ms(std::uint64_t ms) {
   armed_ = ms != 0;
-  if (armed_) {
-    deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  }
+  if (!armed_) return;
+  // Saturate: `now + ms` past the clock's range would overflow into the
+  // past and trip at once; such a deadline means "never" in practice.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom =
+      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::time_point::max() - now);
+  deadline_ = ms >= static_cast<std::uint64_t>(headroom.count())
+                  ? Clock::time_point::max()
+                  : now + std::chrono::milliseconds(ms);
 }
 
 bool CancelToken::expired() {

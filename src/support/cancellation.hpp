@@ -51,7 +51,8 @@ class CancelToken {
   /// The first cancel()'s reason; empty while the token is untripped.
   std::string reason() const;
 
-  /// Arms a steady-clock deadline `ms` from now (0 = disarm). Must be
+  /// Arms a steady-clock deadline `ms` from now (0 = disarm; a deadline
+  /// past the clock's range saturates to "never expires"). Must be
   /// called before the token is shared with pollers — arming is not
   /// synchronized against concurrent poll()/expired().
   void arm_deadline_ms(std::uint64_t ms);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <type_traits>
+
 #include "afu/afu_builder.hpp"
 #include "afu/rewrite.hpp"
 #include "afu/verilog.hpp"
@@ -81,11 +85,16 @@ TEST(AfuBuilder, RejectsNonConvexCut) {
   EXPECT_THROW(build_afu(m, b.function(), g, cut, kLat, "bad"), Error);
 }
 
+// gtest names each case with a byte dump of its parameter, so the parameter
+// holds no pointer (a std::string would put a heap address into every test
+// name) and no padding bytes; 48 bytes keeps the names' "48-byte object".
 struct RewriteCase {
-  std::string workload;
-  int nin, nout, ninstr;
+  char workload[35];
   bool rom;
+  std::int32_t nin, nout, ninstr;
 };
+static_assert(sizeof(RewriteCase) == 48 &&
+              std::has_unique_object_representations_v<RewriteCase>);
 
 class RewriteEndToEnd : public ::testing::TestWithParam<RewriteCase> {};
 
@@ -111,7 +120,7 @@ TEST_P(RewriteEndToEnd, BitExactAndCyclesDropByMerit) {
 
   Function& fn = *w.module().find_function(w.entry().name());
   const RewriteReport report =
-      rewrite_selection(w.module(), fn, blocks, sel, kLat, tc.workload + "_ise");
+      rewrite_selection(w.module(), fn, blocks, sel, kLat, std::string(tc.workload) + "_ise");
   EXPECT_EQ(report.instructions_added, static_cast<int>(sel.cuts.size()));
   EXPECT_GT(report.total_area_macs, 0.0);
 
@@ -128,23 +137,23 @@ TEST_P(RewriteEndToEnd, BitExactAndCyclesDropByMerit) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, RewriteEndToEnd,
-    ::testing::Values(RewriteCase{"adpcmdecode", 4, 2, 4, false},
-                      RewriteCase{"adpcmdecode", 3, 1, 2, false},
-                      RewriteCase{"adpcmdecode", 4, 2, 4, true},  // ROM extension
-                      RewriteCase{"adpcmencode", 4, 2, 4, false},
-                      RewriteCase{"g721", 4, 2, 4, false},
-                      RewriteCase{"gsm", 4, 2, 3, false},
-                      RewriteCase{"crc32", 2, 1, 2, false},
-                      RewriteCase{"sha1", 4, 2, 3, false},
-                      RewriteCase{"viterbi", 4, 2, 3, false},
-                      RewriteCase{"rgb2yuv", 4, 4, 3, false},
-                      RewriteCase{"fir", 8, 1, 2, false},
-                      RewriteCase{"sobel", 8, 2, 2, false},
-                      RewriteCase{"blowfish", 4, 2, 3, false},
-                      RewriteCase{"blowfish", 4, 2, 3, true},  // S-boxes as AFU ROMs
-                      RewriteCase{"idct", 8, 4, 4, false}),
+    ::testing::Values(RewriteCase{"adpcmdecode", false, 4, 2, 4},
+                      RewriteCase{"adpcmdecode", false, 3, 1, 2},
+                      RewriteCase{"adpcmdecode", true, 4, 2, 4},  // ROM extension
+                      RewriteCase{"adpcmencode", false, 4, 2, 4},
+                      RewriteCase{"g721", false, 4, 2, 4},
+                      RewriteCase{"gsm", false, 4, 2, 3},
+                      RewriteCase{"crc32", false, 2, 1, 2},
+                      RewriteCase{"sha1", false, 4, 2, 3},
+                      RewriteCase{"viterbi", false, 4, 2, 3},
+                      RewriteCase{"rgb2yuv", false, 4, 4, 3},
+                      RewriteCase{"fir", false, 8, 1, 2},
+                      RewriteCase{"sobel", false, 8, 2, 2},
+                      RewriteCase{"blowfish", false, 4, 2, 3},
+                      RewriteCase{"blowfish", true, 4, 2, 3},  // S-boxes as AFU ROMs
+                      RewriteCase{"idct", false, 8, 4, 4}),
     [](const ::testing::TestParamInfo<RewriteCase>& info) {
-      return info.param.workload + "_in" + std::to_string(info.param.nin) + "_out" +
+      return std::string(info.param.workload) + "_in" + std::to_string(info.param.nin) + "_out" +
              std::to_string(info.param.nout) + (info.param.rom ? "_rom" : "");
     });
 

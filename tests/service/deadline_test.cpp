@@ -188,6 +188,16 @@ TEST(ServiceDeadlineDaemon, ExpiredDeadlineAnswersPartialWhileOthersAreServed) {
   EXPECT_LT(elapsed.count(), 15000) << "deadline did not bound the run";
 }
 
+TEST(ServiceDeadlineDaemon, HugeDeadlineAnswersACompleteReport) {
+  DaemonRunner runner(base_config("huge"));
+  IsexClient client(runner.socket());
+  ExplorationRequest request = request_for("fir", "iterative");
+  request.deadline_ms = 10000000000000;  // past the steady clock's range
+  const Json payload = client.explore(request);
+  EXPECT_EQ(payload.at("kind").as_string(), "exploration");
+  EXPECT_EQ(payload.at("report").find("partial"), nullptr);
+}
+
 TEST(ServiceDeadlineDaemon, WatchdogCancelsOverrunningJobs) {
   DaemonConfig config = base_config("wd");
   config.num_workers = 1;

@@ -1,15 +1,17 @@
 // Robustness of the daemon against hostile or broken clients: malformed
 // frames, oversized payloads, unknown versions and mid-stream disconnects
 // must produce a structured error event or a clean connection drop — never
-// a daemon crash — and the admission queue's bounding/batching/dedup rules
-// must hold deterministically.
+// a daemon crash — and the admission queue's bounding, dedup and
+// one-job-at-a-time dispatch rules must hold deterministically.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -225,19 +227,18 @@ TEST(ServiceRobustness, AdmissionQueueBoundsAndDedupsDeterministically) {
   EXPECT_EQ(events[0].first, "a");
   EXPECT_EQ(events[2].first, "d");
 
-  // Workers see the dedup: the fir batch carries both subscribers on ONE
-  // job. Finishing it reopens both the bound and the fingerprint.
-  std::vector<ServiceJobPtr> batch = queue.next_batch();
-  ASSERT_EQ(batch.size(), 2u);  // fir + sha1 share scheme/constraints
-  for (const ServiceJobPtr& job : batch) {
+  // Workers see the dedup: ONE fir job carries both its subscribers.
+  // Finishing every job reopens both the bound and the fingerprint.
+  for (const char* workload : {"fir", "sha1"}) {
+    const ServiceJobPtr job = queue.next();
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->frame().single->workload, workload);
     job->publish_terminal("report", Json::object());
     queue.finish(job);
   }
   EXPECT_TRUE(queue.idle());
   EXPECT_FALSE(queue.submit(frame_for("fir"), "e", sink).deduped);
-  const std::vector<ServiceJobPtr> leftover = queue.next_batch();
-  ASSERT_EQ(leftover.size(), 1u);
-  queue.finish(leftover[0]);
+  queue.finish(queue.next());
 
   // After drain(), everything is refused with shutting-down.
   queue.drain();
@@ -248,44 +249,121 @@ TEST(ServiceRobustness, AdmissionQueueBoundsAndDedupsDeterministically) {
     EXPECT_EQ(e.code(), std::string(kErrShuttingDown));
   }
   queue.close();
-  EXPECT_TRUE(queue.next_batch().empty());
+  EXPECT_EQ(queue.next(), nullptr);
 }
 
-TEST(ServiceRobustness, BatchingCoalescesCompatibleQueuedJobsOnly) {
-  AdmissionQueue queue(/*max_queue=*/8, /*max_batch=*/3);
+/// Workloads whose frame_for() frames share type, scheme and constraints;
+/// only the workload (and so the fingerprint) differs.
+const char* const kSameShapeWorkloads[] = {"fir", "sha1", "gsm", "g721"};
+
+TEST(ServiceRobustness, NextDispatchesMixedJobsInAdmissionOrder) {
+  AdmissionQueue queue(/*max_queue=*/8);
   auto sink = std::make_shared<RecordingSink>();
 
+  // Same-shape and different-shape requests interleaved: a different port
+  // constraint, a different instruction count, then same-shape ones again.
+  RequestFrame wide = frame_for("crc32");
+  wide.single->constraints.max_inputs = 4;
   queue.submit(frame_for("fir"), "a", sink);
-  const AdmissionResult b = queue.submit(frame_for("sha1"), "b", sink);
-  EXPECT_TRUE(b.batched);  // same scheme + constraints as the queued fir job
-  EXPECT_EQ(b.batch_size, 2u);
-
-  // Different constraints break compatibility (disjoint memo keys); a
-  // different num_instructions alone does not — the key is type + scheme +
-  // constraints.
-  RequestFrame other = frame_for("crc32");
-  other.single->constraints.max_inputs = 4;
-  EXPECT_FALSE(queue.submit(std::move(other), "c", sink).batched);
-  EXPECT_TRUE(queue.submit(frame_for("gsm", /*num_instructions=*/7), "d", sink).batched);
+  queue.submit(std::move(wide), "b", sink);
+  queue.submit(frame_for("sha1"), "c", sink);
+  queue.submit(frame_for("gsm", /*num_instructions=*/7), "d", sink);
   queue.submit(frame_for("g721"), "e", sink);
 
-  // One dispatch takes the head and every compatible queued job, capped at
-  // max_batch — the incompatible crc32 job stays for the next worker.
-  const std::vector<ServiceJobPtr> first = queue.next_batch();
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0]->frame().single->workload, "fir");
-  EXPECT_EQ(first[1]->frame().single->workload, "sha1");
-  EXPECT_EQ(first[2]->frame().single->workload, "gsm");
-  const std::vector<ServiceJobPtr> second = queue.next_batch();
-  ASSERT_EQ(second.size(), 1u);  // crc32's constraints differ from g721's
-  EXPECT_EQ(second[0]->frame().single->workload, "crc32");
-  const std::vector<ServiceJobPtr> third = queue.next_batch();
-  ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0]->frame().single->workload, "g721");
+  // Every admission reports the constant one-job dispatch on the wire.
+  EXPECT_FALSE(sink->last_data.at("batched").as_bool());
+  EXPECT_EQ(sink->last_data.at("batch_size").as_uint(), 1u);
+
+  for (const char* workload : {"fir", "crc32", "sha1", "gsm", "g721"}) {
+    const ServiceJobPtr job = queue.next();
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->frame().single->workload, workload);
+    queue.finish(job);
+  }
+  EXPECT_TRUE(queue.idle());
+}
+
+TEST(ServiceRobustness, CompatibleQueuedJobsGoOneToEachOfTwoWorkers) {
+  AdmissionQueue queue(/*max_queue=*/8);
+  auto sink = std::make_shared<RecordingSink>();
+  queue.submit(frame_for("fir"), "a", sink);
+  queue.submit(frame_for("sha1"), "b", sink);
+
+  // Two workers each ask for one job. Neither may take both: the second
+  // worker must not sit blocked while a queued job waits behind the first.
+  ServiceJobPtr taken[2];
+  std::atomic<int> returned{0};
+  std::vector<std::thread> workers;
+  for (ServiceJobPtr& slot : taken) {
+    workers.emplace_back([&queue, &slot, &returned] {
+      slot = queue.next();
+      returned.fetch_add(1);
+    });
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (returned.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(returned.load(), 2) << "a worker stayed blocked with a job queued";
+  queue.close();  // releases a worker that is still blocked
+  for (std::thread& w : workers) w.join();
+
+  ASSERT_NE(taken[0], nullptr);
+  ASSERT_NE(taken[1], nullptr);
+  EXPECT_NE(taken[0], taken[1]);
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST(ServiceRobustness, WatchdogScanCancelsDispatchedJobsNeverQueuedOnes) {
+  AdmissionQueue queue(/*max_queue=*/8);
+  auto sink = std::make_shared<RecordingSink>();
+  std::vector<ServiceJobPtr> jobs;
+  for (const char* workload : kSameShapeWorkloads) {
+    jobs.push_back(queue.submit(frame_for(workload), workload, sink).job);
+  }
+
+  // Only the dispatched job's clock is running; the queued ones have not
+  // started, so even a zero ceiling cannot charge them anything.
+  ASSERT_EQ(queue.next(), jobs[0]);
+  EXPECT_EQ(queue.cancel_overrunning(0, "watchdog"), 1u);
+  EXPECT_TRUE(jobs[0]->cancel().cancelled());
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    EXPECT_FALSE(jobs[i]->cancel().cancelled()) << kSameShapeWorkloads[i];
+  }
+
+  ASSERT_EQ(queue.next(), jobs[1]);
+  EXPECT_EQ(queue.cancel_overrunning(0, "watchdog"), 1u);  // jobs[0] already was
+  EXPECT_TRUE(jobs[1]->cancel().cancelled());
+  EXPECT_FALSE(jobs[2]->cancel().cancelled());
+  EXPECT_FALSE(jobs[3]->cancel().cancelled());
+}
+
+TEST(ServiceRobustness, DepthCountsEveryJobNotYetRunning) {
+  AdmissionQueue queue(/*max_queue=*/4);
+  auto sink = std::make_shared<RecordingSink>();
+  for (const char* workload : kSameShapeWorkloads) queue.submit(frame_for(workload), workload, sink);
+  EXPECT_EQ(queue.depth(), 4u);
+
+  // Each dispatch moves exactly one job from waiting to running, so it
+  // frees exactly one slot under the bound.
+  const ServiceJobPtr first = queue.next();
+  EXPECT_EQ(queue.depth(), 3u);
+  queue.submit(frame_for("crc32"), "e", sink);
+  EXPECT_EQ(queue.depth(), 4u);
+  EXPECT_THROW(queue.submit(frame_for("adpcmdecode"), "f", sink), ServiceError);
+
+  queue.finish(first);
+  EXPECT_FALSE(queue.idle());
+  for (std::size_t left = 4; left > 0; --left) {
+    EXPECT_EQ(queue.depth(), left);
+    queue.finish(queue.next());
+  }
+  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_TRUE(queue.idle());
 }
 
 TEST(ServiceRobustness, DeadSubscribersAreDroppedAndLateAttachersReplayTheTerminal) {
-  ServiceJob job(frame_for("fir"), 1, 2);
+  ServiceJob job(frame_for("fir"), 1);
   auto alive = std::make_shared<RecordingSink>();
   auto dying = std::make_shared<RecordingSink>();
   job.attach("a", alive, Json::object());
@@ -347,9 +425,7 @@ TEST(ServiceRobustness, CorruptSnapshotsAreQuarantinedAndTheStoreBootsCold) {
   const std::string quarantine = path + ".corrupt";
   { std::ofstream(path) << "this was never a memo snapshot"; }
 
-  ResultStoreConfig config;
-  config.snapshot_path = path;
-  ResultStore store(config);
+  ResultStore store(path);
   EXPECT_TRUE(store.quarantined());
   EXPECT_FALSE(store.warm_started());
   // The bad file moved aside — evidence kept, boot path cleared.
@@ -359,7 +435,7 @@ TEST(ServiceRobustness, CorruptSnapshotsAreQuarantinedAndTheStoreBootsCold) {
   // The quarantined store persists normally from here on.
   store.note_activity();
   EXPECT_TRUE(store.snapshot());
-  ResultStore next(config);
+  ResultStore next(path);
   EXPECT_TRUE(next.warm_started());
   EXPECT_FALSE(next.quarantined());
   ::unlink(path.c_str());
@@ -373,17 +449,15 @@ TEST(ServiceRobustness, TornSnapshotWritesQuarantineOnTheNextBoot) {
   // quarantines the torn file instead of wedging.
   InjectorGuard guard;
   const std::string path = temp_memo_path("torn");
-  ResultStoreConfig config;
-  config.snapshot_path = path;
 
-  ResultStore store(config);
+  ResultStore store(path);
   store.note_activity();
   guard.fi.arm("snapshot-write");
   EXPECT_THROW(store.snapshot(), Error);
   guard.fi.reset();
   EXPECT_EQ(::access(path.c_str(), F_OK), 0);  // the torn file is on disk
 
-  ResultStore rebooted(config);
+  ResultStore rebooted(path);
   EXPECT_TRUE(rebooted.quarantined());
   EXPECT_FALSE(rebooted.warm_started());
   EXPECT_EQ(::access((path + ".corrupt").c_str(), F_OK), 0);
@@ -391,8 +465,38 @@ TEST(ServiceRobustness, TornSnapshotWritesQuarantineOnTheNextBoot) {
   // The injected failure left the dirty flag set, so the retried snapshot
   // (fault disarmed) persists the state that almost got lost.
   EXPECT_TRUE(store.snapshot());
-  ResultStore recovered(config);
+  ResultStore recovered(path);
   EXPECT_TRUE(recovered.warm_started());
+  ::unlink(path.c_str());
+  ::unlink((path + ".corrupt").c_str());
+}
+
+TEST(ServiceRobustness, NegativeBitVectorSizeInASnapshotIsQuarantined) {
+  // Unchecked, a bit vector of size -1 becomes a SIZE_MAX-bit vector with
+  // no storage, and setting its first bit writes through a null buffer:
+  // the daemon would die at boot, before quarantine moves the file aside.
+  const std::string path = temp_memo_path("negsize");
+  {
+    ResultStore store(path);
+    Explorer(LatencyModel::standard_018um(), store.cache()).run(tiny_request());
+    store.note_activity();
+    ASSERT_TRUE(store.snapshot());
+  }
+  const std::string saved = slurp(path);
+  // The size of a bit vector with at least one set bit.
+  const std::regex size_field(R"("size": ?\d+(?=, ?"bits": ?\[\d))");
+  ASSERT_TRUE(std::regex_search(saved, size_field)) << "snapshot holds no non-empty cut";
+  {
+    std::ofstream(path, std::ios::trunc)
+        << std::regex_replace(saved, size_field, R"("size": -1)",
+                              std::regex_constants::format_first_only);
+  }
+
+  ResultStore rebooted(path);
+  EXPECT_TRUE(rebooted.quarantined());
+  EXPECT_FALSE(rebooted.warm_started());
+  EXPECT_EQ(rebooted.cache()->num_entries(), 0u);
+  EXPECT_EQ(::access((path + ".corrupt").c_str(), F_OK), 0);
   ::unlink(path.c_str());
   ::unlink((path + ".corrupt").c_str());
 }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +58,22 @@ TEST(CancelToken, DeadlineTripsThroughExpiredWithTheCanonicalReason) {
   EXPECT_TRUE(token.expired());
   EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.reason(), kReasonDeadlineExceeded);
+}
+
+TEST(CancelToken, DeadlinesPastTheClockRangeSaturateToNever) {
+  // Unchecked, now + ms overflows the clock for these values and lands in
+  // the past, so a "practically unlimited" deadline would trip at once.
+  for (const std::uint64_t ms : {std::uint64_t{10000000000000},
+                                 std::numeric_limits<std::uint64_t>::max()}) {
+    CancelToken token;
+    token.arm_deadline_ms(ms);
+    EXPECT_TRUE(token.has_deadline()) << ms;
+    EXPECT_FALSE(token.expired()) << ms;
+    for (std::uint64_t i = 0; i < 4 * CancelToken::kPollStride; ++i) {
+      ASSERT_FALSE(token.poll()) << ms;
+    }
+    EXPECT_FALSE(token.cancelled()) << ms;
+  }
 }
 
 TEST(CancelToken, DisarmingZeroClearsTheDeadline) {
